@@ -80,14 +80,6 @@ class CholeskyFactorization {
   /// triangular sweeps overwrite sequentially).
   void solve_into(const Vector& b, Vector& x) const;
 
-  /// Solve L·Y = B in place, one right-hand side per *column* of B (n×k).
-  /// Row-oriented sweeps keep every inner loop contiguous, which is what
-  /// makes many-rhs solves (the Schur complement's K⁻¹Eᵀ) fast.
-  void forward_block_in_place(Matrix& b) const;
-  /// Solve Lᵀ·X = Y in place; completes forward_block_in_place so that
-  /// B becomes A⁻¹ of the original block.
-  void backward_block_in_place(Matrix& b) const;
-
   std::size_t workspace_bytes() const {
     return l_.capacity() * sizeof(double);
   }

@@ -1,7 +1,7 @@
 // Portable SIMD abstraction with runtime dispatch for the numeric kernels.
 //
 // Every dense inner loop of the solver hot path (numerics/kernels,
-// factorization, schur_kkt) funnels through a small table of raw-pointer
+// factorization) funnels through a small table of raw-pointer
 // kernels — dot / axpy / scale / gemv / gemvᵀ / gemm — with one
 // implementation per instruction set:
 //

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "numerics/kernels.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/deadline.hpp"
 #include "util/expect.hpp"
@@ -81,17 +82,197 @@ std::size_t QpWorkspace::bytes() const {
   const std::size_t vec_elems =
       x_.capacity() + y_.capacity() + z_.capacity() + s_.capacity() +
       best_x_.capacity() + best_y_.capacity() + best_z_.capacity() +
-      r_dual_.capacity() + r_eq_.capacity() + r_eq_neg_.capacity() +
-      r_ineq_.capacity() + tmp_mi_.capacity() + rhs1_.capacity() +
-      rhs_.capacity() + sol_.capacity() + hx_.capacity() +
-      dx_aff_.capacity() + dy_aff_.capacity() + ds_aff_.capacity() +
-      dz_aff_.capacity() + dx_.capacity() + dy_.capacity() + ds_.capacity() +
-      dz_.capacity() + rc_.capacity();
-  return (vec_elems + h_reg_.capacity() + k_mat_.capacity() +
-          kkt_.capacity() + a_val_.capacity()) *
-             sizeof(double) +
-         (a_row_ptr_.capacity() + a_col_.capacity()) * sizeof(std::size_t) +
-         schur_.workspace_bytes() + lu_.workspace_bytes();
+      r_dual_.capacity() + r_eq_.capacity() + r_ineq_.capacity() +
+      tmp_mi_.capacity() + rhs1_.capacity() + rhs_.capacity() +
+      sol_.capacity() + hx_.capacity() + dx_aff_.capacity() +
+      dy_aff_.capacity() + ds_aff_.capacity() + dz_aff_.capacity() +
+      dx_.capacity() + dy_.capacity() + ds_.capacity() + dz_.capacity() +
+      rc_.capacity();
+  const std::size_t double_elems = vec_elems + h_val_.capacity() +
+                                   e_val_.capacity() + a_val_.capacity() +
+                                   kkt_base_.capacity() + kkt_.capacity();
+  const std::size_t index_elems =
+      h_col_ptr_.capacity() + h_row_.capacity() + e_row_ptr_.capacity() +
+      e_col_.capacity() + a_row_ptr_.capacity() + a_col_.capacity() +
+      a_col_ptr_.capacity() + a_row_.capacity() + kkt_col_ptr_.capacity() +
+      kkt_row_.capacity() + kkt_mark_.capacity();
+  return double_elems * sizeof(double) + index_elems * sizeof(std::size_t) +
+         k_slot_.capacity() * sizeof(std::uint32_t) +
+         ldl_.workspace_bytes() + lu_.workspace_bytes();
+}
+
+namespace {
+
+// Registry ids of the KKT analysis cache: lookups per solve, analyses that
+// actually ran (a miss), and the fill of the latest analysis.
+struct KktMetrics {
+  obs::MetricsRegistry::Id lookups;
+  obs::MetricsRegistry::Id analyses;
+  obs::MetricsRegistry::Id factor_nnz;
+};
+
+const KktMetrics& kkt_metrics() {
+  static const KktMetrics ids{
+      obs::MetricsRegistry::global().counter("qp.kkt_lookups"),
+      obs::MetricsRegistry::global().counter("qp.kkt_analyses"),
+      obs::MetricsRegistry::global().gauge("qp.kkt_factor_nnz")};
+  return ids;
+}
+
+}  // namespace
+
+void QpWorkspace::load_problem(const QpProblem& problem,
+                               double regularization) {
+  const std::size_t n = problem.num_vars();
+  const std::size_t me = problem.num_eq();
+  const std::size_t mi = problem.num_ineq();
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  // Upper triangle of the symmetrized H, by columns.
+  h_col_ptr_.resize(n + 1);
+  h_row_.clear();
+  h_val_.clear();
+  for (std::size_t j = 0; j < n; ++j) {
+    h_col_ptr_[j] = h_row_.size();
+    for (std::size_t i = 0; i < j; ++i) {
+      const double v = 0.5 * (problem.h(i, j) + problem.h(j, i));
+      if (v != 0.0) {
+        h_row_.push_back(i);
+        h_val_.push_back(v);
+      }
+    }
+    if (problem.h(j, j) != 0.0) {
+      h_row_.push_back(j);
+      h_val_.push_back(problem.h(j, j));
+    }
+  }
+  h_col_ptr_[n] = h_row_.size();
+
+  // E and A by rows. MPC inequality rows are bounds and small couplings
+  // (1–3 nonzeros); E rows are the dynamics stencils.
+  const auto to_csr = [n](const num::Matrix& m, std::size_t rows,
+                          std::vector<std::size_t>& row_ptr,
+                          std::vector<std::size_t>& col,
+                          num::AlignedBuffer& val) {
+    row_ptr.resize(rows + 1);
+    col.clear();
+    val.clear();
+    for (std::size_t r = 0; r < rows; ++r) {
+      row_ptr[r] = col.size();
+      const double* row = m.row_ptr(r);
+      for (std::size_t c = 0; c < n; ++c)
+        if (row[c] != 0.0) {
+          col.push_back(c);
+          val.push_back(row[c]);
+        }
+    }
+    row_ptr[rows] = col.size();
+  };
+  to_csr(problem.e_mat, me, e_row_ptr_, e_col_, e_val_);
+  to_csr(problem.a_mat, mi, a_row_ptr_, a_col_, a_val_);
+
+  // Row indices of A by columns: the AᵀDA pairs that land in column j of
+  // K come from the rows of A that have a nonzero in column j. (kkt_mark_
+  // serves as the fill cursor here, before it marks pattern rows below.)
+  a_col_ptr_.assign(n + 1, 0);
+  for (const std::size_t c : a_col_) ++a_col_ptr_[c + 1];
+  for (std::size_t j = 0; j < n; ++j) a_col_ptr_[j + 1] += a_col_ptr_[j];
+  kkt_mark_.assign(a_col_ptr_.begin(), a_col_ptr_.end() - 1);
+  a_row_.resize(a_col_.size());
+  for (std::size_t r = 0; r < mi; ++r)
+    for (std::size_t k = a_row_ptr_[r]; k < a_row_ptr_[r + 1]; ++k)
+      a_row_[kkt_mark_[a_col_[k]]++] = r;
+
+  // KKT pattern, column by column: K's column j is the union of H's column,
+  // the AᵀA pairs (ci ≤ j, j) of every row of A through column j, and the
+  // diagonal; the column of equality row r holds that row's nonzeros plus
+  // the (−δ) diagonal.
+  kkt_col_ptr_.resize(n + me + 1);
+  kkt_row_.clear();
+  kkt_mark_.assign(n, kNone);
+  std::size_t* const mark = kkt_mark_.data();
+  const auto add_entry = [&](std::size_t i, std::size_t j) {
+    if (mark[i] != j) {
+      mark[i] = j;
+      kkt_row_.push_back(i);
+    }
+  };
+  for (std::size_t j = 0; j < n; ++j) {
+    kkt_col_ptr_[j] = kkt_row_.size();
+    for (std::size_t p = h_col_ptr_[j]; p < h_col_ptr_[j + 1]; ++p)
+      add_entry(h_row_[p], j);
+    for (std::size_t q = a_col_ptr_[j]; q < a_col_ptr_[j + 1]; ++q) {
+      // Row a_row_[q] holds column j; its columns are ascending, so the
+      // pairs ending in j are its entries up to and including j.
+      const std::size_t* col = a_col_.data() + a_row_ptr_[a_row_[q]];
+      do {
+        add_entry(*col, j);
+      } while (*col++ != j);
+    }
+    add_entry(j, j);
+  }
+  for (std::size_t r = 0; r < me; ++r) {
+    kkt_col_ptr_[n + r] = kkt_row_.size();
+    for (std::size_t k = e_row_ptr_[r]; k < e_row_ptr_[r + 1]; ++k)
+      kkt_row_.push_back(e_col_[k]);
+    kkt_row_.push_back(n + r);
+  }
+  kkt_col_ptr_[n + me] = kkt_row_.size();
+
+  const KktMetrics& metrics = kkt_metrics();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.add(metrics.lookups);
+  if (ldl_.analyze(n + me, n, kkt_col_ptr_, kkt_row_)) {
+    registry.add(metrics.analyses);
+    registry.set(metrics.factor_nnz, static_cast<double>(ldl_.factor_nnz()));
+  }
+
+  // Slot map of K, then the iteration-invariant values (H + reg·I and E)
+  // laid out in the factor's order.
+  k_slot_.resize(n * n);
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t t = kkt_col_ptr_[j]; t < kkt_col_ptr_[j + 1]; ++t)
+      k_slot_[kkt_row_[t] * n + j] = static_cast<std::uint32_t>(ldl_.slot(t));
+  kkt_base_.assign(kkt_row_.size(), 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = h_col_ptr_[j]; p < h_col_ptr_[j + 1]; ++p)
+      kkt_base_[k_slot_[h_row_[p] * n + j]] = h_val_[p];
+    kkt_base_[k_slot_[j * n + j]] += regularization;
+  }
+  for (std::size_t r = 0; r < me; ++r)
+    for (std::size_t k = e_row_ptr_[r]; k < e_row_ptr_[r + 1]; ++k)
+      kkt_base_[ldl_.slot(kkt_col_ptr_[n + r] + (k - e_row_ptr_[r]))] =
+          e_val_[k];
+}
+
+void QpWorkspace::assemble_kkt(const num::Vector& z, const num::Vector& s) {
+  const std::size_t n = h_col_ptr_.size() - 1;
+  double* vals = ldl_.values();
+  std::copy(kkt_base_.begin(), kkt_base_.end(), vals);
+  for (std::size_t r = 0; r < z.size(); ++r) {
+    // Clamp the barrier scaling: an almost-converged active constraint
+    // would otherwise overflow the KKT system and poison the
+    // factorization.
+    const double d = std::clamp(z[r] / s[r], 1e-10, 1e10);
+    for (std::size_t ki = a_row_ptr_[r]; ki < a_row_ptr_[r + 1]; ++ki) {
+      const double dai = d * a_val_[ki];
+      const std::uint32_t* slots = k_slot_.data() + a_col_[ki] * n;
+      for (std::size_t kj = ki; kj < a_row_ptr_[r + 1]; ++kj)
+        vals[slots[a_col_[kj]]] += dai * a_val_[kj];
+    }
+  }
+}
+
+void QpWorkspace::dense_kkt_from_values() {
+  const std::size_t dim = kkt_col_ptr_.size() - 1;
+  kkt_.resize(dim, dim);
+  const double* vals = ldl_.values();
+  for (std::size_t j = 0; j < dim; ++j)
+    for (std::size_t t = kkt_col_ptr_[j]; t < kkt_col_ptr_[j + 1]; ++t) {
+      const double v = vals[ldl_.slot(t)];
+      kkt_(kkt_row_[t], j) = v;
+      kkt_(j, kkt_row_[t]) = v;
+    }
 }
 
 namespace {
@@ -154,65 +335,56 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
     return ok;
   };
 
-  // Symmetrized, regularized Hessian (reused by residuals and assembly).
-  ws.h_reg_.copy_from(problem.h);
-  ws.h_reg_.symmetrize();
-  for (std::size_t i = 0; i < n; ++i)
-    ws.h_reg_(i, i) += options.regularization;
+  // Sparse views, KKT pattern + cached analysis, slot maps.
+  ws.load_problem(problem, options.regularization);
 
-  // Compressed-sparse-row view of A: MPC inequality rows are bounds and
-  // small couplings (1–3 nonzeros), so the barrier assembly and every A·v
-  // product below run over nonzeros only.
-  ws.a_row_ptr_.resize(mi + 1);
-  ws.a_col_.clear();
-  ws.a_val_.clear();
-  for (std::size_t r = 0; r < mi; ++r) {
-    ws.a_row_ptr_[r] = ws.a_col_.size();
-    for (std::size_t c = 0; c < n; ++c) {
-      const double v = problem.a_mat(r, c);
-      if (v != 0.0) {
-        ws.a_col_.push_back(c);
-        ws.a_val_.push_back(v);
-      }
-    }
-  }
-  if (mi > 0) ws.a_row_ptr_[mi] = ws.a_col_.size();
-
-  // row-sparse products over the CSR view
+  // row-sparse products over the CSR view of A
   const auto csr_dot_row = [&ws](std::size_t r, const num::Vector& v) {
     double acc = 0.0;
     for (std::size_t k = ws.a_row_ptr_[r]; k < ws.a_row_ptr_[r + 1]; ++k)
       acc += ws.a_val_[k] * v[ws.a_col_[k]];
     return acc;
   };
-  // out += Aᵀ·w
-  const auto csr_add_at = [&ws, mi](const num::Vector& w, num::Vector& out) {
-    for (std::size_t r = 0; r < mi; ++r) {
-      const double wr = w[r];
-      if (wr == 0.0) continue;
-      for (std::size_t k = ws.a_row_ptr_[r]; k < ws.a_row_ptr_[r + 1]; ++k)
-        out[ws.a_col_[k]] += ws.a_val_[k] * wr;
-    }
+  // out = H·x over the symmetric upper triangle (unregularized).
+  const auto h_times = [&ws, n](const num::Vector& x, num::Vector& out) {
+    out.assign(n, 0.0);
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t p = ws.h_col_ptr_[j]; p < ws.h_col_ptr_[j + 1]; ++p) {
+        const std::size_t i = ws.h_row_[p];
+        out[i] += ws.h_val_[p] * x[j];
+        if (i != j) out[j] += ws.h_val_[p] * x[i];
+      }
   };
 
-  // r_dual = H x + g + Eᵀy + Aᵀz; r_eq = E x − e; r_ineq = A x + s − b.
+  // r_dual = (H + reg·I) x + g + Eᵀy + Aᵀz; r_eq = E x − e;
+  // r_ineq = A x + s − b.
   const auto compute_residuals = [&](const num::Vector& x,
                                      const num::Vector& y,
                                      const num::Vector& z,
                                      const num::Vector& s) {
-    num::gemv(1.0, ws.h_reg_, x, 0.0, ws.r_dual_);
-    ws.r_dual_ += problem.g;
-    if (me > 0) num::gemv_t(1.0, problem.e_mat, y, 1.0, ws.r_dual_);
-    if (mi > 0) csr_add_at(z, ws.r_dual_);
-    if (me > 0) {
-      num::gemv(1.0, problem.e_mat, x, 0.0, ws.r_eq_);
-      ws.r_eq_ -= problem.e_vec;
-    } else {
-      ws.r_eq_.assign(0, 0.0);
+    h_times(x, ws.r_dual_);
+    for (std::size_t i = 0; i < n; ++i)
+      ws.r_dual_[i] += options.regularization * x[i] + problem.g[i];
+    ws.r_eq_.resize(me);
+    for (std::size_t r = 0; r < me; ++r) {
+      double acc = -problem.e_vec[r];
+      const double yr = y[r];
+      for (std::size_t k = ws.e_row_ptr_[r]; k < ws.e_row_ptr_[r + 1]; ++k) {
+        acc += ws.e_val_[k] * x[ws.e_col_[k]];
+        ws.r_dual_[ws.e_col_[k]] += ws.e_val_[k] * yr;
+      }
+      ws.r_eq_[r] = acc;
     }
     ws.r_ineq_.resize(mi);
-    for (std::size_t r = 0; r < mi; ++r)
-      ws.r_ineq_[r] = csr_dot_row(r, x) + s[r] - problem.b_vec[r];
+    for (std::size_t r = 0; r < mi; ++r) {
+      const double zr = z[r];
+      double acc = s[r] - problem.b_vec[r];
+      for (std::size_t k = ws.a_row_ptr_[r]; k < ws.a_row_ptr_[r + 1]; ++k) {
+        acc += ws.a_val_[k] * x[ws.a_col_[k]];
+        ws.r_dual_[ws.a_col_[k]] += ws.a_val_[k] * zr;
+      }
+      ws.r_ineq_[r] = acc;
+    }
   };
   const auto residual_inf = [&]() {
     return std::max({ws.r_dual_.norm_inf(),
@@ -220,7 +392,7 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
                      ws.r_ineq_.empty() ? 0.0 : ws.r_ineq_.norm_inf()});
   };
   const auto objective_of = [&](const num::Vector& x) {
-    num::gemv(1.0, problem.h, x, 0.0, ws.hx_);
+    h_times(x, ws.hx_);
     return 0.5 * x.dot(ws.hx_) + problem.g.dot(x);
   };
   const auto finish_workspace_counters = [&]() {
@@ -228,6 +400,14 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
     if (bytes_after > bytes_before) ++ws.counters_.workspace_growths;
     ws.counters_.peak_workspace_bytes =
         std::max(ws.counters_.peak_workspace_bytes, bytes_after);
+  };
+  // Sparse LDLᵀ of the KKT values currently in the factor, booked as one
+  // factorization; on success the caller solves through ws.ldl_.
+  const auto factorize_sparse = [&]() {
+    ++ws.counters_.factorizations;
+    const bool ok = timed_factorize([&] { return ws.ldl_.factorize(); });
+    if (ok) ++ws.counters_.schur_solves;
+    return ok;
   };
 
   QpResult result;
@@ -237,55 +417,36 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
 
   // ---- Pure equality-constrained (or unconstrained) QP: one KKT solve ----
   if (mi == 0) {
-    // Block elimination first: Cholesky of the regularized Hessian + Schur
-    // complement in the multipliers.
-    ++ws.counters_.factorizations;
-    if (timed_factorize(
-            [&] { return ws.schur_.factorize(ws.h_reg_, problem.e_mat); })) {
-      ++ws.counters_.schur_solves;
-      if (ws.schur_.regularized()) ++ws.counters_.schur_regularizations;
-      ws.rhs1_.resize(n);
-      for (std::size_t i = 0; i < n; ++i) ws.rhs1_[i] = -problem.g[i];
-      ws.schur_.solve(ws.rhs1_, problem.e_vec, ws.dx_, ws.dy_);
-      for (std::size_t i = 0; i < n; ++i) result.x[i] = ws.dx_[i];
-      for (std::size_t i = 0; i < me; ++i) result.y_eq[i] = ws.dy_[i];
+    ws.assemble_kkt(result.z_ineq, result.z_ineq);  // no barrier terms
+    ws.rhs_.resize(n + me);
+    for (std::size_t i = 0; i < n; ++i) ws.rhs_[i] = -problem.g[i];
+    for (std::size_t i = 0; i < me; ++i) ws.rhs_[n + i] = problem.e_vec[i];
+    ws.sol_.resize(n + me);
+    const auto finish = [&]() {
+      for (std::size_t i = 0; i < n; ++i) result.x[i] = ws.sol_[i];
+      for (std::size_t i = 0; i < me; ++i) result.y_eq[i] = ws.sol_[n + i];
       result.status = QpStatus::kSolved;
       result.objective = objective_of(result.x);
       compute_residuals(result.x, result.y_eq, result.z_ineq, result.z_ineq);
       result.kkt_residual = residual_inf();
       finish_workspace_counters();
       return result;
+    };
+    if (factorize_sparse()) {
+      ws.ldl_.solve(ws.rhs_.ptr(), ws.sol_.ptr());
+      return finish();
     }
 
-    // Dense fallback with regularize-and-retry (e.g. redundant equality
-    // rows make the Schur complement singular beyond its internal repair).
-    ws.kkt_.resize(n + me, n + me);
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t c = 0; c < n; ++c) ws.kkt_(r, c) = ws.h_reg_(r, c);
-    for (std::size_t r = 0; r < me; ++r)
-      for (std::size_t c = 0; c < n; ++c) {
-        ws.kkt_(n + r, c) = problem.e_mat(r, c);
-        ws.kkt_(c, n + r) = problem.e_mat(r, c);
-      }
-    ws.rhs_.resize(n + me);
-    for (std::size_t i = 0; i < n; ++i) ws.rhs_[i] = -problem.g[i];
-    for (std::size_t i = 0; i < me; ++i) ws.rhs_[n + i] = problem.e_vec[i];
-
+    // Dense fallback with regularize-and-retry (H indefinite, or so badly
+    // conditioned that the LDLᵀ met a pivot of the wrong sign).
+    ws.dense_kkt_from_values();
     double delta = options.regularization;
     for (int attempt = 0; attempt < 6; ++attempt) {
       ++ws.counters_.factorizations;
       ++ws.counters_.dense_fallbacks;
       if (timed_factorize([&] { return ws.lu_.factorize(ws.kkt_); })) {
         ws.lu_.solve_into(ws.rhs_, ws.sol_);
-        for (std::size_t i = 0; i < n; ++i) result.x[i] = ws.sol_[i];
-        for (std::size_t i = 0; i < me; ++i) result.y_eq[i] = ws.sol_[n + i];
-        result.status = QpStatus::kSolved;
-        result.objective = objective_of(result.x);
-        compute_residuals(result.x, result.y_eq, result.z_ineq,
-                          result.z_ineq);
-        result.kkt_residual = residual_inf();
-        finish_workspace_counters();
-        return result;
+        return finish();
       }
       delta = std::max(delta * 100.0, 1e-10);
       for (std::size_t i = 0; i < n; ++i) ws.kkt_(i, i) += delta;
@@ -295,7 +456,6 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
     finish_workspace_counters();
     return result;
   }
-
   // ---- Interior point (Mehrotra predictor-corrector) ----
   const rt::Deadline deadline =
       rt::Deadline::from_budget_s(options.time_budget_s);
@@ -374,44 +534,16 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
       break;
     }
 
-    // Barrier-augmented Hessian K = H + AᵀDA, D = diag(z/s). Only the
-    // upper triangle is accumulated (K is symmetric); the CSR row view
-    // makes each row's contribution O(nnz²) instead of O(n·nnz).
-    ws.k_mat_.copy_from(ws.h_reg_);
-    for (std::size_t r = 0; r < mi; ++r) {
-      // Clamp the barrier scaling: an almost-converged active constraint
-      // would otherwise overflow the KKT system and poison the
-      // factorization.
-      const double d = std::clamp(z[r] / s[r], 1e-10, 1e10);
-      for (std::size_t ki = ws.a_row_ptr_[r]; ki < ws.a_row_ptr_[r + 1];
-           ++ki) {
-        const double dai = d * ws.a_val_[ki];
-        const std::size_t ci = ws.a_col_[ki];
-        for (std::size_t kj = ki; kj < ws.a_row_ptr_[r + 1]; ++kj)
-          ws.k_mat_(ci, ws.a_col_[kj]) += dai * ws.a_val_[kj];
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = i + 1; j < n; ++j) ws.k_mat_(j, i) = ws.k_mat_(i, j);
-
-    // Factorize the reduced KKT [K, Eᵀ; E, 0] by block elimination; if K is
-    // not numerically SPD (extreme barrier scaling), fall back to a dense
-    // LU of the full KKT matrix, regularizing once more if needed.
-    ++ws.counters_.factorizations;
-    bool use_schur = timed_factorize(
-        [&] { return ws.schur_.factorize(ws.k_mat_, problem.e_mat); });
-    if (use_schur) {
-      ++ws.counters_.schur_solves;
-      if (ws.schur_.regularized()) ++ws.counters_.schur_regularizations;
-    } else {
-      ws.kkt_.resize(n + me, n + me);
-      for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c) ws.kkt_(r, c) = ws.k_mat_(r, c);
-      for (std::size_t r = 0; r < me; ++r)
-        for (std::size_t c = 0; c < n; ++c) {
-          ws.kkt_(n + r, c) = problem.e_mat(r, c);
-          ws.kkt_(c, n + r) = problem.e_mat(r, c);
-        }
+    // KKT values for K = H + AᵀDA, D = diag(z/s), scattered straight into
+    // the factor. If the LDLᵀ meets a pivot of the wrong sign (K not
+    // numerically positive definite under extreme barrier scaling), fall
+    // back to a dense LU of the full KKT matrix, regularizing once more if
+    // needed.
+    ws.assemble_kkt(z, s);
+    const bool use_ldl = factorize_sparse();
+    if (!use_ldl) {
+      ws.dense_kkt_from_values();
+      ++ws.counters_.factorizations;
       ++ws.counters_.dense_fallbacks;
       if (!timed_factorize([&] { return ws.lu_.factorize(ws.kkt_); })) {
         for (std::size_t i = 0; i < n; ++i) ws.kkt_(i, i) += 1e-8;
@@ -445,20 +577,18 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
         for (std::size_t k = ws.a_row_ptr_[r]; k < ws.a_row_ptr_[r + 1]; ++k)
           ws.rhs1_[ws.a_col_[k]] -= ws.a_val_[k] * wr;
       }
-      if (use_schur) {
-        ws.r_eq_neg_.resize(me);
-        for (std::size_t i = 0; i < me; ++i) ws.r_eq_neg_[i] = -ws.r_eq_[i];
-        ws.schur_.solve(ws.rhs1_, ws.r_eq_neg_, dx, dy);
-      } else {
-        ws.rhs_.resize(n + me);
-        for (std::size_t i = 0; i < n; ++i) ws.rhs_[i] = ws.rhs1_[i];
-        for (std::size_t i = 0; i < me; ++i) ws.rhs_[n + i] = -ws.r_eq_[i];
+      ws.rhs_.resize(n + me);
+      for (std::size_t i = 0; i < n; ++i) ws.rhs_[i] = ws.rhs1_[i];
+      for (std::size_t i = 0; i < me; ++i) ws.rhs_[n + i] = -ws.r_eq_[i];
+      ws.sol_.resize(n + me);
+      if (use_ldl)
+        ws.ldl_.solve(ws.rhs_.ptr(), ws.sol_.ptr());
+      else
         ws.lu_.solve_into(ws.rhs_, ws.sol_);
-        dx.resize(n);
-        for (std::size_t i = 0; i < n; ++i) dx[i] = ws.sol_[i];
-        dy.resize(me);
-        for (std::size_t i = 0; i < me; ++i) dy[i] = ws.sol_[n + i];
-      }
+      dx.resize(n);
+      for (std::size_t i = 0; i < n; ++i) dx[i] = ws.sol_[i];
+      dy.resize(me);
+      for (std::size_t i = 0; i < me; ++i) dy[i] = ws.sol_[n + i];
       ds.resize(mi);
       for (std::size_t r = 0; r < mi; ++r)
         ds[r] = -ws.r_ineq_[r] - csr_dot_row(r, dx);

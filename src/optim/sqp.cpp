@@ -81,39 +81,58 @@ MeritEval evaluate_merit(const NlpProblem& problem, const num::Matrix& a_mat,
   return m;
 }
 
-// Least-norm feasibility restoration for the second-order correction:
-// solve J·Jᵀ·λ = −c and set p = Jᵀ·λ, the minimum-norm step with
-// J·p = −c. Returns false when J·Jᵀ is numerically singular (redundant or
-// rank-deficient linearization) or the correction is non-finite — the
-// caller then falls back to plain backtracking. Sizes here are the
-// equality count (≲ 100 for the MPC), and the path only runs when a full
-// step was rejected, so dense formation of J·Jᵀ is cheap; all buffers are
-// caller-owned and reused across corrections.
-bool solve_least_norm_restoration(const num::Matrix& j, const num::Vector& c,
-                                  num::Matrix& jjt, num::LuFactorization& lu,
-                                  num::Vector& rhs, num::Vector& lambda,
-                                  num::Vector& p) {
-  const std::size_t me = j.rows(), n = j.cols();
-  jjt.resize(me, me);
-  for (std::size_t i = 0; i < me; ++i) {
-    for (std::size_t k = i; k < me; ++k) {
-      double acc = 0.0;
-      for (std::size_t col = 0; col < n; ++col) acc += j(i, col) * j(k, col);
-      jjt(i, k) = acc;
-      jjt(k, i) = acc;
-    }
-  }
-  if (!lu.factorize(jjt)) return false;
-  rhs.resize(me);
-  for (std::size_t i = 0; i < me; ++i) rhs[i] = -c[i];
-  lu.solve_into(rhs, lambda);
-  num::gemv_t(1.0, j, lambda, 0.0, p);
-  for (std::size_t i = 0; i < p.size(); ++i)
-    if (!std::isfinite(p[i])) return false;
-  return true;
-}
-
 }  // namespace
+
+bool LeastNormRestoration::solve(const num::Matrix& j, const num::Vector& c,
+                                 num::Vector& p) {
+  // Relative bound on ‖J·p + c‖∞ after refinement. A consistent system
+  // refines to roundoff; c outside the range of a rank-deficient J leaves
+  // a residual of the order of ‖c‖.
+  constexpr double kResidualTol = 1e-6;
+  const std::size_t me = j.rows(), n = j.cols();
+  col_ptr_.resize(n + me + 1);
+  row_.clear();
+  val_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    col_ptr_[i] = i;
+    row_.push_back(i);
+    val_.push_back(1.0);
+  }
+  for (std::size_t r = 0; r < me; ++r) {
+    col_ptr_[n + r] = row_.size();
+    const double* jr = j.row_ptr(r);
+    for (std::size_t col = 0; col < n; ++col)
+      if (jr[col] != 0.0) {
+        row_.push_back(col);
+        val_.push_back(jr[col]);
+      }
+    row_.push_back(n + r);
+    val_.push_back(0.0);
+  }
+  col_ptr_[n + me] = row_.size();
+  ldl_.analyze(n + me, n, col_ptr_, row_);
+  double* vals = ldl_.values();
+  for (std::size_t t = 0; t < val_.size(); ++t) vals[ldl_.slot(t)] = val_[t];
+  if (!ldl_.factorize()) return false;
+
+  rhs_.assign(n + me, 0.0);
+  for (std::size_t r = 0; r < me; ++r) rhs_[n + r] = -c[r];
+  sol_.resize(n + me);
+  ldl_.solve(rhs_.ptr(), sol_.ptr());
+  p.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = sol_[i];
+    if (!std::isfinite(p[i])) return false;
+  }
+  double residual = 0.0;
+  for (std::size_t r = 0; r < me; ++r) {
+    double acc = c[r];
+    for (std::size_t t = col_ptr_[n + r]; t + 1 < col_ptr_[n + r + 1]; ++t)
+      acc += val_[t] * p[row_[t]];
+    residual = std::max(residual, std::abs(acc));
+  }
+  return residual <= kResidualTol * c.norm_inf();
+}
 
 SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
                            const SqpWarmStart* warm) const {
@@ -280,15 +299,14 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
         // of steps that zigzag across the manifold without ever shrinking
         // the violation. Both show up as the unit step failing to reduce
         // infeasibility — so whenever that happens, restore feasibility
-        // with the least-norm correction p = Jᵀ·(J·Jᵀ)⁻¹·(−c(x+d)) and
+        // with the least-norm correction p = −Jᵀ·(J·Jᵀ)⁻¹·c(x+d) and
         // offer x + d + p to the same acceptance test. cand.c already
         // holds c(x+d).
         if (ls == 0 && options_.second_order_correction && !cand.c.empty() &&
             (!accepted ||
              cand.eq_l1 > std::max(0.5 * cur.eq_l1,
                                    options_.constraint_tolerance)) &&
-            solve_least_norm_restoration(qp_.e_mat, cand.c, soc_jjt_, soc_lu_,
-                                         soc_rhs_, soc_lambda_, soc_p_)) {
+            restoration_.solve(qp_.e_mat, cand.c, soc_p_)) {
           num::copy_into(candidate_, soc_candidate_);
           soc_candidate_.add_scaled(1.0, soc_p_);
           MeritEval cand_soc =

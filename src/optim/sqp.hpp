@@ -17,7 +17,9 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
+#include "numerics/sparse_ldl.hpp"
 #include "optim/condensed_qp.hpp"
 #include "optim/nlp.hpp"
 #include "optim/qp.hpp"
@@ -53,9 +55,10 @@ struct SqpOptions {
   bool warm_start_duals = true;
   /// Second-order correction against the Maratos effect: when the full QP
   /// step is rejected by the merit test — or accepted without shrinking the
-  /// equality violation, the zigzag variant of the same pathology — solve
-  /// J·Jᵀ·λ = −c(x+d) for the least-norm feasibility restoration p = Jᵀ·λ
-  /// and offer x + d + p to the same acceptance test before backtracking.
+  /// equality violation, the zigzag variant of the same pathology — compute
+  /// the least-norm feasibility restoration p (J·p = −c(x+d), see
+  /// LeastNormRestoration) and offer x + d + p to the same acceptance test
+  /// before backtracking.
   /// Near a curved constraint manifold the full step trades a large cost
   /// improvement for a quadratic feasibility loss; the correction removes
   /// that loss so the unit step — and with it fast local convergence —
@@ -96,6 +99,26 @@ struct SqpWarmStart {
   num::Vector y_eq;
   num::Vector z_ineq;
   bool empty() const { return y_eq.empty() && z_ineq.empty(); }
+};
+
+/// Least-norm feasibility restoration for the second-order correction:
+/// p = argmin ‖p‖ subject to J·p = −c, i.e. p = −Jᵀ·(J·Jᵀ)⁻¹·c, from one
+/// sparse LDLᵀ of the quasi-definite system [I Jᵀ; J −δI][p; λ] = [0; −c]
+/// (numerics/sparse_ldl). J·Jᵀ is never formed. The symbolic analysis is
+/// cached and reused while J keeps its pattern; all buffers are reused
+/// across corrections.
+class LeastNormRestoration {
+ public:
+  /// Returns false — the caller then falls back to plain backtracking —
+  /// when the refined step does not meet J·p = −c (rank-deficient J with c
+  /// outside its range) or is non-finite.
+  bool solve(const num::Matrix& j, const num::Vector& c, num::Vector& p);
+
+ private:
+  num::SparseLdl ldl_;
+  std::vector<std::size_t> col_ptr_, row_;
+  std::vector<double> val_;  ///< δ = 0 values, in pattern order
+  num::Vector rhs_, sol_;
 };
 
 class SqpSolver {
@@ -145,11 +168,10 @@ class SqpSolver {
   mutable QpWarmStart qp_warm_;
   mutable num::Vector candidate_;
   mutable num::Vector ax_;
-  // Second-order-correction scratch: J·Jᵀ and its factorization, the
-  // restoration multipliers, and the correction step p = Jᵀ·λ.
-  mutable num::Matrix soc_jjt_;
-  mutable num::LuFactorization soc_lu_;
-  mutable num::Vector soc_rhs_, soc_lambda_, soc_p_;
+  // Second-order-correction scratch: the restoration solver and the
+  // correction step p.
+  mutable LeastNormRestoration restoration_;
+  mutable num::Vector soc_p_;
   mutable num::Vector soc_candidate_;
 };
 

@@ -28,10 +28,12 @@ import argparse
 import json
 import sys
 
-# Benches gated by default: the end-to-end hot-path measurements (both QP
-# backends) plus the condensed path's warm resolve kernel. The micro benches
-# still participate in the host-factor median.
+# Benches gated by default: the closed-loop ECE_EUDC drive (ms per plan of a
+# whole drive), the hot-path window measurements (both QP backends) and the
+# condensed path's warm resolve kernel. The micro benches still participate
+# in the host-factor median.
 DEFAULT_WATCHED = [
+    "mpc_closed_loop_ece_eudc",
     "mpc_plan_step_warm",
     "sqp_mpc_window_h12",
     "mpc_plan_step_condensed_warm",
