@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "drivecycle/profile_io.hpp"
 #include "drivecycle/standard_cycles.hpp"
@@ -13,7 +14,12 @@ namespace {
 class ProfileIoTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  const std::string path_ = "/tmp/evc_profile_io_test.csv";
+  // One file per test case: ctest runs the cases as parallel processes.
+  const std::string path_ =
+      "/tmp/evc_profile_io_test_" +
+      std::string(
+          ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+      ".csv";
 };
 
 TEST_F(ProfileIoTest, RoundTripPreservesSamples) {
