@@ -35,18 +35,20 @@ opt::QpProblem random_qp(std::size_t n, std::size_t mi, std::uint64_t seed) {
   num::Matrix g(n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1, 1);
-  p.h = g.transposed() * g;
-  for (std::size_t i = 0; i < n; ++i) p.h(i, i) += 1.0;
+  num::Matrix h = g.transposed() * g;
+  for (std::size_t i = 0; i < n; ++i) h(i, i) += 1.0;
+  p.h = num::CsrMatrix::from_dense(h);
   p.g = num::Vector(n);
   for (std::size_t i = 0; i < n; ++i) p.g[i] = rng.uniform(-2, 2);
-  p.e_mat = num::Matrix(0, n);
+  p.e_mat = num::CsrMatrix(0, n);
   p.e_vec = num::Vector(0);
-  p.a_mat = num::Matrix(mi, n);
+  num::Matrix a(mi, n);
   p.b_vec = num::Vector(mi);
   for (std::size_t r = 0; r < mi; ++r) {
-    for (std::size_t c = 0; c < n; ++c) p.a_mat(r, c) = rng.uniform(-1, 1);
+    for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1, 1);
     p.b_vec[r] = rng.uniform(0.5, 2.0);
   }
+  p.a_mat = num::CsrMatrix::from_dense(a);
   return p;
 }
 

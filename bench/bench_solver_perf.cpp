@@ -47,18 +47,20 @@ opt::QpProblem random_qp(std::size_t n, std::size_t mi, std::uint64_t seed) {
   num::Matrix g(n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1, 1);
-  p.h = g.transposed() * g;
-  for (std::size_t i = 0; i < n; ++i) p.h(i, i) += 1.0;
+  num::Matrix h = g.transposed() * g;
+  for (std::size_t i = 0; i < n; ++i) h(i, i) += 1.0;
+  p.h = num::CsrMatrix::from_dense(h);
   p.g = num::Vector(n);
   for (std::size_t i = 0; i < n; ++i) p.g[i] = rng.uniform(-2, 2);
-  p.e_mat = num::Matrix(0, n);
+  p.e_mat = num::CsrMatrix(0, n);
   p.e_vec = num::Vector(0);
-  p.a_mat = num::Matrix(mi, n);
+  num::Matrix a(mi, n);
   p.b_vec = num::Vector(mi);
   for (std::size_t r = 0; r < mi; ++r) {
-    for (std::size_t c = 0; c < n; ++c) p.a_mat(r, c) = rng.uniform(-1, 1);
+    for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1, 1);
     p.b_vec[r] = rng.uniform(0.5, 2.0);
   }
+  p.a_mat = num::CsrMatrix::from_dense(a);
   return p;
 }
 
@@ -283,8 +285,10 @@ int main(int argc, char** argv) {
   {
     const std::size_t n = 60;
     const auto problem = random_qp(n, 2 * n, 42);
+    const num::Matrix h = problem.h.to_dense();
+    const num::Matrix a = problem.a_mat.to_dense();
     num::CholeskyFactorization h_chol;
-    if (!h_chol.factorize(problem.h)) return 1;
+    if (!h_chol.factorize(h)) return 1;
     opt::DenseActiveSetSolver active_set;
     opt::DenseActiveSetOptions as_opts;
     num::Vector v(n), lambda(2 * n);
@@ -292,8 +296,7 @@ int main(int argc, char** argv) {
     std::vector<std::size_t> warm;
     // Cold solve outside the timer establishes the working set.
     if (!active_set
-             .solve(h_chol, problem.h, problem.a_mat, g, problem.b_vec, warm,
-                    as_opts, v, lambda)
+             .solve(h_chol, h, a, g, problem.b_vec, warm, as_opts, v, lambda)
              .usable())
       return 1;
     const std::size_t reps = 200;
@@ -303,9 +306,8 @@ int main(int argc, char** argv) {
       warm = active_set.active_set();
       for (std::size_t i = 0; i < n; ++i)
         g[i] = problem.g[i] + 1e-3 * rng.uniform(-1, 1);
-      const auto out = active_set.solve(h_chol, problem.h, problem.a_mat, g,
-                                        problem.b_vec, warm, as_opts, v,
-                                        lambda);
+      const auto out = active_set.solve(h_chol, h, a, g, problem.b_vec, warm,
+                                        as_opts, v, lambda);
       if (!out.usable()) return 1;
     }
     write_bench_header(json, "dense_active_set_resolve", reps,

@@ -2,42 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/expect.hpp"
 #include "util/units.hpp"
 
 namespace evc::core {
-
-MpcIndex::MpcIndex(std::size_t horizon) : n_(horizon) {
-  EVC_EXPECT(horizon >= 1, "MPC horizon must be at least one step");
-}
-
-std::size_t MpcIndex::x(std::size_t k) const {
-  EVC_EXPECT(k <= n_, "state index out of horizon");
-  return k;
-}
-std::size_t MpcIndex::ts(std::size_t k) const {
-  EVC_EXPECT(k < n_, "input index out of horizon");
-  return (n_ + 1) + 4 * k;
-}
-std::size_t MpcIndex::tc(std::size_t k) const { return ts(k) + 1; }
-std::size_t MpcIndex::dr(std::size_t k) const { return ts(k) + 2; }
-std::size_t MpcIndex::mz(std::size_t k) const { return ts(k) + 3; }
-std::size_t MpcIndex::tm(std::size_t k) const {
-  EVC_EXPECT(k < n_, "auxiliary index out of horizon");
-  return (n_ + 1) + 4 * n_ + 4 * k;
-}
-std::size_t MpcIndex::ph(std::size_t k) const { return tm(k) + 1; }
-std::size_t MpcIndex::pc(std::size_t k) const { return tm(k) + 2; }
-std::size_t MpcIndex::pf(std::size_t k) const { return tm(k) + 3; }
-std::size_t MpcIndex::soc(std::size_t k) const {
-  EVC_EXPECT(k <= n_, "SoC index out of horizon");
-  return (n_ + 1) + 8 * n_ + k;
-}
-std::size_t MpcIndex::slack(std::size_t k) const {
-  EVC_EXPECT(k < n_, "slack index out of horizon");
-  return 10 * n_ + 2 + k;
-}
 
 MpcFormulation::MpcFormulation(hvac::HvacParams hvac_params,
                                bat::BatteryParams battery_params,
@@ -92,13 +63,16 @@ MpcFormulation::MpcFormulation(hvac::HvacParams hvac_params,
 void MpcFormulation::build_cost() {
   const std::size_t n = idx_.num_vars();
   const std::size_t horizon = idx_.horizon();
-  hessian_ = num::Matrix(n, n);
   gradient_const_ = num::Vector(n);
+  // Every diagonal entry is stored, zero or not: the SQP adds its
+  // regularization to each one.
+  std::vector<num::CsrMatrix::Entry> h;
+  for (std::size_t i = 0; i < n; ++i) h.push_back({i, i, 0.0});
 
   // w3·(Tz_k − Ttarget)² over k = 0..N (0.5 zᵀHz + gᵀz form → H gets 2w3).
   for (std::size_t k = 0; k <= horizon; ++k) {
     const std::size_t ix = idx_.x(k);
-    hessian_(ix, ix) += 2.0 * weights_.comfort;
+    h.push_back({ix, ix, 2.0 * weights_.comfort});
     gradient_const_[ix] += -2.0 * weights_.comfort * hvac_.target_temp_c;
   }
 
@@ -122,10 +96,10 @@ void MpcFormulation::build_cost() {
                                 idx_.dr(k + 1), idx_.mz(k + 1)};
       for (int ch = 0; ch < 4; ++ch) {
         const double w = 2.0 * weights_.input_rate * channel_scale[ch];
-        hessian_(a[ch], a[ch]) += w;
-        hessian_(b[ch], b[ch]) += w;
-        hessian_(a[ch], b[ch]) -= w;
-        hessian_(b[ch], a[ch]) -= w;
+        h.push_back({a[ch], a[ch], w});
+        h.push_back({b[ch], b[ch], w});
+        h.push_back({a[ch], b[ch], -w});
+        h.push_back({b[ch], a[ch], -w});
       }
     }
   }
@@ -137,7 +111,7 @@ void MpcFormulation::build_cost() {
     const double ref = *window_.soc_reference;
     for (std::size_t a = 0; a < m; ++a) {
       const std::size_t i = idx_.soc(a);
-      hessian_(i, i) += 2.0 * weights_.soc_deviation;
+      h.push_back({i, i, 2.0 * weights_.soc_deviation});
       gradient_const_[i] += -2.0 * weights_.soc_deviation * ref;
     }
   } else {
@@ -147,11 +121,12 @@ void MpcFormulation::build_cost() {
     for (std::size_t a = 0; a < m; ++a) {
       for (std::size_t b = 0; b < m; ++b) {
         const double cij = (a == b ? 1.0 : 0.0) - inv_m;
-        hessian_(idx_.soc(a), idx_.soc(b)) +=
-            2.0 * weights_.soc_deviation * cij;
+        h.push_back(
+            {idx_.soc(a), idx_.soc(b), 2.0 * weights_.soc_deviation * cij});
       }
     }
   }
+  hessian_ = num::CsrMatrix::from_entries(n, n, std::move(h));
 }
 
 double MpcFormulation::peukert_g(double p_kw) const {
@@ -175,15 +150,11 @@ double MpcFormulation::peukert_dg(double p_kw) const {
 }
 
 double MpcFormulation::cost(const num::Vector& z) const {
-  return 0.5 * z.dot(hessian_ * z) + gradient_const_.dot(z);
+  return 0.5 * z.dot(hessian_.multiply(z)) + gradient_const_.dot(z);
 }
 
 num::Vector MpcFormulation::cost_gradient(const num::Vector& z) const {
-  return hessian_ * z + gradient_const_;
-}
-
-num::Matrix MpcFormulation::cost_hessian(const num::Vector&) const {
-  return hessian_;
+  return hessian_.multiply(z) + gradient_const_;
 }
 
 num::Vector MpcFormulation::eq_constraints(const num::Vector& z) const {
@@ -234,14 +205,16 @@ num::Vector MpcFormulation::eq_constraints(const num::Vector& z) const {
   return c;
 }
 
-num::Matrix MpcFormulation::eq_jacobian(const num::Vector& z) const {
+void MpcFormulation::eq_jacobian(const num::Vector& z,
+                                 num::CsrMatrix& j) const {
   const std::size_t horizon = idx_.horizon();
   const double dt = window_.dt_s;
   const double gamma = dt / hvac_.cabin_capacitance_j_per_k;
   const double cp = hvac_.air_cp;
-  num::Matrix j(idx_.num_eq(), idx_.num_vars());
+  // Each row's entries are pushed in ascending column order; the packing
+  // is x < Ts < Tc < dr < mz < Tm < Ph < Pc < Pf < SoC (MpcIndex).
+  j.reset(idx_.num_vars());
 
-  std::size_t row = 0;
   for (std::size_t k = 0; k < horizon; ++k) {
     const double to = window_.outside_temp_c[k];
     const double xk = z[idx_.x(k)];
@@ -256,72 +229,74 @@ num::Matrix MpcFormulation::eq_jacobian(const num::Vector& z) const {
     // Cabin dynamics row.
     const double half_coupling =
         0.5 * gamma * (hvac_.wall_ua_w_per_k + mz * cp);
-    j(row, idx_.x(k)) = -1.0 + half_coupling;
-    j(row, idx_.x(k + 1)) = 1.0 + half_coupling;
-    j(row, idx_.ts(k)) = -gamma * mz * cp;
-    j(row, idx_.mz(k)) = -gamma * cp * (ts - xbar);
-    ++row;
+    j.push(idx_.x(k), -1.0 + half_coupling);
+    j.push(idx_.x(k + 1), 1.0 + half_coupling);
+    j.push(idx_.ts(k), -gamma * mz * cp);
+    j.push(idx_.mz(k), -gamma * cp * (ts - xbar));
+    j.end_row();
     // Mixer row.
-    j(row, idx_.tm(k)) = 1.0;
-    j(row, idx_.dr(k)) = to - xk;
-    j(row, idx_.x(k)) = -dr;
-    ++row;
+    j.push(idx_.x(k), -dr);
+    j.push(idx_.dr(k), to - xk);
+    j.push(idx_.tm(k), 1.0);
+    j.end_row();
     // Heater row.
     {
       const double scale = cp / (1000.0 * hvac_.heater_efficiency);
-      j(row, idx_.ph(k)) = 1.0;
-      j(row, idx_.mz(k)) = -scale * (ts - tc);
-      j(row, idx_.ts(k)) = -scale * mz;
-      j(row, idx_.tc(k)) = scale * mz;
-      ++row;
+      j.push(idx_.ts(k), -scale * mz);
+      j.push(idx_.tc(k), scale * mz);
+      j.push(idx_.mz(k), -scale * (ts - tc));
+      j.push(idx_.ph(k), 1.0);
+      j.end_row();
     }
     // Cooler row.
     {
       const double scale = cp / (1000.0 * hvac_.cooler_efficiency);
-      j(row, idx_.pc(k)) = 1.0;
-      j(row, idx_.mz(k)) = -scale * (tm - tc);
-      j(row, idx_.tm(k)) = -scale * mz;
-      j(row, idx_.tc(k)) = scale * mz;
-      ++row;
+      j.push(idx_.tc(k), scale * mz);
+      j.push(idx_.mz(k), -scale * (tm - tc));
+      j.push(idx_.tm(k), -scale * mz);
+      j.push(idx_.pc(k), 1.0);
+      j.end_row();
     }
     // Fan row.
-    j(row, idx_.pf(k)) = 1.0;
-    j(row, idx_.mz(k)) = -2.0 * hvac_.fan_coefficient / 1000.0 * mz;
-    ++row;
+    j.push(idx_.mz(k), -2.0 * hvac_.fan_coefficient / 1000.0 * mz);
+    j.push(idx_.pf(k), 1.0);
+    j.end_row();
     // Battery row (linear, or chain rule through the Peukert throughput).
     {
       const double total_kw = z[idx_.ph(k)] + z[idx_.pc(k)] +
                               z[idx_.pf(k)] + window_.fixed_power_kw[k];
       const double sensitivity = kappa_ * dt * peukert_dg(total_kw);
-      j(row, idx_.soc(k + 1)) = 1.0;
-      j(row, idx_.soc(k)) = -1.0;
-      j(row, idx_.ph(k)) = sensitivity;
-      j(row, idx_.pc(k)) = sensitivity;
-      j(row, idx_.pf(k)) = sensitivity;
-      ++row;
+      j.push(idx_.ph(k), sensitivity);
+      j.push(idx_.pc(k), sensitivity);
+      j.push(idx_.pf(k), sensitivity);
+      j.push(idx_.soc(k), -1.0);
+      j.push(idx_.soc(k + 1), 1.0);
+      j.end_row();
     }
   }
-  j(row, idx_.x(0)) = 1.0;
-  ++row;
-  j(row, idx_.soc(0)) = 1.0;
-  ++row;
-  EVC_ENSURE(row == idx_.num_eq(), "Jacobian row count mismatch");
-  return j;
+  j.push(idx_.x(0), 1.0);
+  j.end_row();
+  j.push(idx_.soc(0), 1.0);
+  j.end_row();
+  EVC_ENSURE(j.rows() == idx_.num_eq(), "Jacobian row count mismatch");
 }
 
 void MpcFormulation::build_inequalities() {
   const std::size_t horizon = idx_.horizon();
-  a_mat_ = num::Matrix(idx_.num_ineq(), idx_.num_vars());
+  std::vector<num::CsrMatrix::Entry> a;
   b_vec_ = num::Vector(idx_.num_ineq());
 
   std::size_t row = 0;
+  const auto coef = [&](std::size_t var, double value) {
+    a.push_back({row, var, value});
+  };
   auto upper = [&](std::size_t var, double bound) {
-    a_mat_(row, var) = 1.0;
+    coef(var, 1.0);
     b_vec_[row] = bound;
     ++row;
   };
   auto lower = [&](std::size_t var, double bound) {
-    a_mat_(row, var) = -1.0;
+    coef(var, -1.0);
     b_vec_[row] = -bound;
     ++row;
   };
@@ -333,23 +308,23 @@ void MpcFormulation::build_inequalities() {
     // C2 (soft): comfort zone on the predicted states x_1..x_N with a
     // non-negative slack, so an infeasible start degrades instead of
     // aborting the plan.
-    a_mat_(row, idx_.x(k + 1)) = 1.0;
-    a_mat_(row, idx_.slack(k)) = -1.0;
+    coef(idx_.x(k + 1), 1.0);
+    coef(idx_.slack(k), -1.0);
     b_vec_[row] = hvac_.comfort_max_c;
     ++row;
-    a_mat_(row, idx_.x(k + 1)) = -1.0;
-    a_mat_(row, idx_.slack(k)) = -1.0;
+    coef(idx_.x(k + 1), -1.0);
+    coef(idx_.slack(k), -1.0);
     b_vec_[row] = -hvac_.comfort_min_c;
     ++row;
     lower(idx_.slack(k), 0.0);
     // C3: Tc ≤ Ts.
-    a_mat_(row, idx_.tc(k)) = 1.0;
-    a_mat_(row, idx_.ts(k)) = -1.0;
+    coef(idx_.tc(k), 1.0);
+    coef(idx_.ts(k), -1.0);
     b_vec_[row] = 0.0;
     ++row;
     // C4: Tc ≤ Tm.
-    a_mat_(row, idx_.tc(k)) = 1.0;
-    a_mat_(row, idx_.tm(k)) = -1.0;
+    coef(idx_.tc(k), 1.0);
+    coef(idx_.tm(k), -1.0);
     b_vec_[row] = 0.0;
     ++row;
     // C5: coil frost limit.
@@ -368,6 +343,7 @@ void MpcFormulation::build_inequalities() {
     upper(idx_.pf(k), hvac_.max_fan_power_w / 1000.0);
   }
   EVC_ENSURE(row == idx_.num_ineq(), "inequality row count mismatch");
+  a_mat_ = num::CsrMatrix::from_entries(row, idx_.num_vars(), std::move(a));
 }
 
 num::Vector MpcFormulation::cold_start() const {

@@ -40,13 +40,17 @@
 #include "hvac/hvac_params.hpp"
 #include "optim/condensed_qp.hpp"
 #include "optim/nlp.hpp"
+#include "util/expect.hpp"
 
 namespace evc::core {
 
-/// Variable packing for the control window.
+/// Variable packing for the control window. The accessors are inline: the
+/// formulation calls them millions of times per drive.
 class MpcIndex {
  public:
-  explicit MpcIndex(std::size_t horizon);
+  explicit MpcIndex(std::size_t horizon) : n_(horizon) {
+    EVC_EXPECT(horizon >= 1, "MPC horizon must be at least one step");
+  }
 
   std::size_t horizon() const { return n_; }
   std::size_t num_vars() const { return 11 * n_ + 2; }
@@ -54,18 +58,33 @@ class MpcIndex {
   std::size_t num_ineq() const { return 16 * n_; }
 
   // k ranges: states 0..N, inputs/auxiliaries 0..N−1.
-  std::size_t x(std::size_t k) const;
-  std::size_t ts(std::size_t k) const;
-  std::size_t tc(std::size_t k) const;
-  std::size_t dr(std::size_t k) const;
-  std::size_t mz(std::size_t k) const;
-  std::size_t tm(std::size_t k) const;
-  std::size_t ph(std::size_t k) const;
-  std::size_t pc(std::size_t k) const;
-  std::size_t pf(std::size_t k) const;
-  std::size_t soc(std::size_t k) const;
+  std::size_t x(std::size_t k) const {
+    EVC_EXPECT(k <= n_, "state index out of horizon");
+    return k;
+  }
+  std::size_t ts(std::size_t k) const {
+    EVC_EXPECT(k < n_, "input index out of horizon");
+    return (n_ + 1) + 4 * k;
+  }
+  std::size_t tc(std::size_t k) const { return ts(k) + 1; }
+  std::size_t dr(std::size_t k) const { return ts(k) + 2; }
+  std::size_t mz(std::size_t k) const { return ts(k) + 3; }
+  std::size_t tm(std::size_t k) const {
+    EVC_EXPECT(k < n_, "auxiliary index out of horizon");
+    return (n_ + 1) + 4 * n_ + 4 * k;
+  }
+  std::size_t ph(std::size_t k) const { return tm(k) + 1; }
+  std::size_t pc(std::size_t k) const { return tm(k) + 2; }
+  std::size_t pf(std::size_t k) const { return tm(k) + 3; }
+  std::size_t soc(std::size_t k) const {
+    EVC_EXPECT(k <= n_, "SoC index out of horizon");
+    return (n_ + 1) + 8 * n_ + k;
+  }
   /// Comfort slack for predicted state x_{k+1}, k = 0..N−1.
-  std::size_t slack(std::size_t k) const;
+  std::size_t slack(std::size_t k) const {
+    EVC_EXPECT(k < n_, "slack index out of horizon");
+    return 10 * n_ + 2 + k;
+  }
 
  private:
   std::size_t n_;
@@ -120,10 +139,13 @@ class MpcFormulation : public opt::NlpProblem {
   std::size_t num_eq() const override { return idx_.num_eq(); }
   double cost(const num::Vector& z) const override;
   num::Vector cost_gradient(const num::Vector& z) const override;
-  num::Matrix cost_hessian(const num::Vector& z) const override;
+  /// Stores every diagonal entry, zero or not.
+  const num::CsrMatrix& cost_hessian() const override { return hessian_; }
   num::Vector eq_constraints(const num::Vector& z) const override;
-  num::Matrix eq_jacobian(const num::Vector& z) const override;
-  const num::Matrix& ineq_matrix() const override { return a_mat_; }
+  /// The pattern depends on the horizon alone: every coefficient of the
+  /// stencils below is stored, even where it vanishes at z.
+  void eq_jacobian(const num::Vector& z, num::CsrMatrix& j) const override;
+  const num::CsrMatrix& ineq_matrix() const override { return a_mat_; }
   const num::Vector& ineq_vector() const override { return b_vec_; }
   /// Elimination order for the condensed backend: the dynamics rows solve
   /// for the dependent trajectory (states, mixed-air temperature, powers,
@@ -159,9 +181,9 @@ class MpcFormulation : public opt::NlpProblem {
   double kappa_ = 0.0;  ///< %SoC per (kW·s)
   double peukert_pnom_kw_ = 8.0;
 
-  num::Matrix hessian_;
+  num::CsrMatrix hessian_;
   num::Vector gradient_const_;
-  num::Matrix a_mat_;
+  num::CsrMatrix a_mat_;
   num::Vector b_vec_;
   opt::CondensingPlan plan_;
 };

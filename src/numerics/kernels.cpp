@@ -160,6 +160,4 @@ void copy_into(const Vector& src, Vector& dst) {
   dst.data().assign(src.data().begin(), src.data().end());
 }
 
-void copy_into(const Matrix& src, Matrix& dst) { dst.copy_from(src); }
-
 }  // namespace evc::num

@@ -47,7 +47,6 @@ double dot(const Vector& x, const Vector& y);
 
 /// dst := src, reusing dst's backing store when its capacity suffices.
 void copy_into(const Vector& src, Vector& dst);
-void copy_into(const Matrix& src, Matrix& dst);
 
 // Raw-pointer variants for callers that manage their own buffers (the
 // condensed QP backend works on rows of packed workspace matrices). When the

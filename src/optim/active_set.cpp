@@ -11,31 +11,39 @@ namespace evc::opt {
 
 namespace {
 
+/// Dense copies of a QP's matrices: this oracle works on dense KKT blocks.
+struct DenseMatrices {
+  num::Matrix h;  ///< symmetrized
+  num::Matrix e;
+  num::Matrix a;
+};
+
 /// Solve the equality-constrained subproblem
 ///   min ½(x+d)ᵀH(x+d) + gᵀ(x+d)   s.t.  E(x+d) = e,  a_iᵀ(x+d) = b_i, i∈W
 /// for the step d and multipliers (equalities first, then working rows).
 /// Returns false when the KKT system is singular (degenerate working set).
-bool solve_working_set(const QpProblem& p, const num::Vector& x,
+bool solve_working_set(const DenseMatrices& p, const num::Vector& g,
+                       const num::Vector& x,
                        const std::vector<std::size_t>& working,
                        num::Vector& d, num::Vector& y_eq,
                        num::Vector& z_working) {
-  const std::size_t n = p.num_vars();
-  const std::size_t me = p.num_eq();
+  const std::size_t n = g.size();
+  const std::size_t me = p.e.rows();
   const std::size_t mw = working.size();
   num::Matrix kkt(n + me + mw, n + me + mw);
   kkt.set_block(0, 0, p.h);
   if (me > 0) {
-    kkt.set_block(n, 0, p.e_mat);
-    kkt.set_block(0, n, p.e_mat.transposed());
+    kkt.set_block(n, 0, p.e);
+    kkt.set_block(0, n, p.e.transposed());
   }
   for (std::size_t r = 0; r < mw; ++r) {
     for (std::size_t c = 0; c < n; ++c) {
-      kkt(n + me + r, c) = p.a_mat(working[r], c);
-      kkt(c, n + me + r) = p.a_mat(working[r], c);
+      kkt(n + me + r, c) = p.a(working[r], c);
+      kkt(c, n + me + r) = p.a(working[r], c);
     }
   }
   num::Vector rhs(n + me + mw);
-  const num::Vector grad = p.h * x + p.g;
+  const num::Vector grad = p.h * x + g;
   for (std::size_t i = 0; i < n; ++i) rhs[i] = -grad[i];
   // x is feasible w.r.t. E and the working rows, so the constraint rhs in
   // step space is zero.
@@ -57,10 +65,9 @@ QpResult solve_qp_active_set(const QpProblem& problem, const num::Vector& x0,
   EVC_EXPECT(x0.size() == n, "active set: start dimension mismatch");
   const std::size_t mi = problem.num_ineq();
 
-  num::Matrix h = problem.h;
-  h.symmetrize();
-  QpProblem p = problem;
-  p.h = h;
+  DenseMatrices p{problem.h.to_dense(), problem.e_mat.to_dense(),
+                  problem.a_mat.to_dense()};
+  p.h.symmetrize();
 
   QpResult result;
   result.x = x0;
@@ -70,11 +77,11 @@ QpResult solve_qp_active_set(const QpProblem& problem, const num::Vector& x0,
   // Verify the start is feasible.
   const double feas_tol = 1e-7;
   if (problem.num_eq() > 0 &&
-      (problem.e_mat * x0 - problem.e_vec).norm_inf() > 1e-6) {
+      (p.e * x0 - problem.e_vec).norm_inf() > 1e-6) {
     result.status = QpStatus::kNumericalIssue;
     return result;
   }
-  num::Vector ax = mi > 0 ? problem.a_mat * x0 : num::Vector(0);
+  num::Vector ax = mi > 0 ? p.a * x0 : num::Vector(0);
   for (std::size_t i = 0; i < mi; ++i) {
     if (ax[i] - problem.b_vec[i] > 1e-6) {
       result.status = QpStatus::kNumericalIssue;
@@ -92,7 +99,7 @@ QpResult solve_qp_active_set(const QpProblem& problem, const num::Vector& x0,
     result.iterations = iter + 1;
 
     num::Vector d, y_eq, z_working;
-    if (!solve_working_set(p, x, working, d, y_eq, z_working)) {
+    if (!solve_working_set(p, problem.g, x, working, d, y_eq, z_working)) {
       // Degenerate working set (linearly dependent rows): drop the newest
       // row and retry next iteration.
       if (working.empty()) {
@@ -120,7 +127,7 @@ QpResult solve_qp_active_set(const QpProblem& problem, const num::Vector& x0,
         result.z_ineq = num::Vector(mi);
         for (std::size_t r = 0; r < working.size(); ++r)
           result.z_ineq[working[r]] = std::max(z_working[r], 0.0);
-        result.objective = 0.5 * x.dot(p.h * x) + p.g.dot(x);
+        result.objective = 0.5 * x.dot(p.h * x) + problem.g.dot(x);
         return result;
       }
       working.erase(working.begin() + static_cast<std::ptrdiff_t>(drop));
@@ -133,9 +140,9 @@ QpResult solve_qp_active_set(const QpProblem& problem, const num::Vector& x0,
     for (std::size_t i = 0; i < mi; ++i) {
       if (std::find(working.begin(), working.end(), i) != working.end())
         continue;
-      const double adi = problem.a_mat.row(i).dot(d);
+      const double adi = p.a.row(i).dot(d);
       if (adi > options.tolerance) {
-        const double axi = problem.a_mat.row(i).dot(x);
+        const double axi = p.a.row(i).dot(x);
         const double step = (problem.b_vec[i] - axi) / adi;
         if (step < alpha) {
           alpha = std::max(step, 0.0);
@@ -151,7 +158,7 @@ QpResult solve_qp_active_set(const QpProblem& problem, const num::Vector& x0,
       result.status != QpStatus::kNumericalIssue)
     result.status = QpStatus::kMaxIterations;
   result.x = x;
-  result.objective = 0.5 * x.dot(p.h * x) + p.g.dot(x);
+  result.objective = 0.5 * x.dot(p.h * x) + problem.g.dot(x);
   return result;
 }
 
@@ -159,17 +166,18 @@ std::optional<num::Vector> find_feasible_point(const QpProblem& problem) {
   // Phase-1 by proxy: minimize ½‖x‖² subject to the constraints with the
   // interior-point solver, which needs no feasible start.
   QpProblem phase1 = problem;
-  phase1.h = num::Matrix::identity(problem.num_vars());
+  phase1.h =
+      num::CsrMatrix::from_dense(num::Matrix::identity(problem.num_vars()));
   phase1.g = num::Vector(problem.num_vars());
   const QpResult r = solve_qp(phase1);
   if (r.status != QpStatus::kSolved) return std::nullopt;
   if (problem.num_ineq() > 0) {
-    const num::Vector ax = problem.a_mat * r.x;
+    const num::Vector ax = problem.a_mat.multiply(r.x);
     for (std::size_t i = 0; i < problem.num_ineq(); ++i)
       if (ax[i] - problem.b_vec[i] > 1e-7) return std::nullopt;
   }
   if (problem.num_eq() > 0 &&
-      (problem.e_mat * r.x - problem.e_vec).norm_inf() > 1e-6)
+      (problem.e_mat.multiply(r.x) - problem.e_vec).norm_inf() > 1e-6)
     return std::nullopt;
   return r.x;
 }

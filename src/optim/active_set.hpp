@@ -9,9 +9,9 @@
 //    of its excellent warm-starting behaviour; bench_ablation_solver can
 //    compare both under the MPC workload.
 //
-// Requires H ≻ 0 (add regularization for semidefinite problems) and a
-// feasible starting point; `find_feasible_point` provides one via a
-// slack-minimizing phase-1.
+// Works on dense copies of the QP's CSR matrices. Requires H ≻ 0 (add
+// regularization for semidefinite problems) and a feasible starting point;
+// `find_feasible_point` provides one via a slack-minimizing phase-1.
 #pragma once
 
 #include <optional>

@@ -22,15 +22,20 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-/// Relative ∞-norm distance between two equally-sized matrices.
-double relative_drift(const num::Matrix& a, const num::Matrix& b) {
-  const double* pa = a.ptr();
-  const double* pb = b.ptr();
-  const std::size_t n = a.rows() * a.cols();
+/// Relative ∞-norm distance of `a` from the equally-sized snapshot `b`.
+double relative_drift(const num::CsrMatrix& a, const num::Matrix& b) {
+  const std::size_t* ptr = a.row_ptr();
+  const std::size_t* col = a.col_idx();
+  const double* val = a.values();
   double diff = 0.0, scale = 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    diff = std::max(diff, std::abs(pa[i] - pb[i]));
-    scale = std::max(scale, std::abs(pb[i]));
+  for (std::size_t r = 0; r < b.rows(); ++r) {
+    const double* pb = b.row_ptr(r);
+    std::size_t k = ptr[r];
+    for (std::size_t c = 0; c < b.cols(); ++c) {
+      const double va = k < ptr[r + 1] && col[k] == c ? val[k++] : 0.0;
+      diff = std::max(diff, std::abs(va - pb[c]));
+      scale = std::max(scale, std::abs(pb[c]));
+    }
   }
   return diff / scale;
 }
@@ -127,7 +132,7 @@ bool CondensedQpSolver::drift_within(const QpProblem& qp,
   const std::size_t n = qp.h.rows();
   double diff = 0.0, scale = 1.0;
   for (std::size_t i = 0; i < n; ++i) {
-    diff = std::max(diff, std::abs(qp.h(i, i) - cached_h_(i, i)));
+    diff = std::max(diff, std::abs(qp.h.coeff(i, i) - cached_h_(i, i)));
     scale = std::max(scale, std::abs(cached_h_(i, i)));
   }
   if (diff / scale > options.drift_tolerance) return false;
@@ -243,9 +248,9 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
   if (state_ != CacheState::kReady || !drift_within(qp, options)) {
     EVC_TRACE_SPAN("qp.condense");
     const auto rebuild_start = std::chrono::steady_clock::now();
-    num::copy_into(qp.e_mat, cached_e_);
-    num::copy_into(qp.h, cached_h_);
-    num::copy_into(qp.a_mat, cached_a_);
+    qp.e_mat.to_dense(cached_e_);
+    qp.h.to_dense(cached_h_);
+    qp.a_mat.to_dense(cached_a_);
     if (!derive(plan, options.min_pivot)) {
       state_ = CacheState::kEmpty;
       return result;

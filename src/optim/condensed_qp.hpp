@@ -167,7 +167,8 @@ class CondensedQpSolver {
 
   CacheState state_ = CacheState::kEmpty;
 
-  // Snapshots of the linearization the cache was built from.
+  // Snapshots of the linearization the cache was built from: dense copies
+  // of the QP's CSR matrices, which the condensing works on.
   num::Matrix cached_e_, cached_h_, cached_a_;
 
   // Derived: the condensed problem.

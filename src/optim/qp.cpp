@@ -89,14 +89,12 @@ std::size_t QpWorkspace::bytes() const {
       dx_.capacity() + dy_.capacity() + ds_.capacity() + dz_.capacity() +
       rc_.capacity();
   const std::size_t double_elems = vec_elems + h_val_.capacity() +
-                                   e_val_.capacity() + a_val_.capacity() +
                                    kkt_base_.capacity() + kkt_.capacity();
   const std::size_t index_elems =
-      h_col_ptr_.capacity() + h_row_.capacity() + e_row_ptr_.capacity() +
-      e_col_.capacity() + a_row_ptr_.capacity() + a_col_.capacity() +
-      a_col_ptr_.capacity() + a_row_.capacity() + kkt_col_ptr_.capacity() +
+      h_col_ptr_.capacity() + h_row_.capacity() + kkt_col_ptr_.capacity() +
       kkt_row_.capacity() + kkt_mark_.capacity();
   return double_elems * sizeof(double) + index_elems * sizeof(std::size_t) +
+         ht_.bytes() + e_.bytes() + a_.bytes() + at_.bytes() +
          k_slot_.capacity() * sizeof(std::uint32_t) +
          ldl_.workspace_bytes() + lu_.workspace_bytes();
 }
@@ -125,63 +123,57 @@ void QpWorkspace::load_problem(const QpProblem& problem,
                                double regularization) {
   const std::size_t n = problem.num_vars();
   const std::size_t me = problem.num_eq();
-  const std::size_t mi = problem.num_ineq();
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  // Upper triangle of the symmetrized H, by columns.
+  // Upper triangle of the symmetrized H, by columns. Above the diagonal,
+  // column j pairs H(j, i) (row j of H) with H(i, j) (row j of Hᵀ), i < j;
+  // both rows ascend, so one merge visits each i once.
+  problem.h.transpose_into(ht_);
+  const std::size_t* hp = problem.h.row_ptr();
+  const std::size_t* hc = problem.h.col_idx();
+  const double* hv = problem.h.values();
+  const std::size_t* tp = ht_.row_ptr();
+  const std::size_t* tc = ht_.col_idx();
+  const double* tv = ht_.values();
   h_col_ptr_.resize(n + 1);
   h_row_.clear();
   h_val_.clear();
   for (std::size_t j = 0; j < n; ++j) {
     h_col_ptr_[j] = h_row_.size();
-    for (std::size_t i = 0; i < j; ++i) {
-      const double v = 0.5 * (problem.h(i, j) + problem.h(j, i));
+    std::size_t p = hp[j], q = tp[j];
+    for (;;) {
+      const std::size_t ip = p < hp[j + 1] ? hc[p] : n;
+      const std::size_t iq = q < tp[j + 1] ? tc[q] : n;
+      const std::size_t i = std::min(ip, iq);
+      if (i >= j) break;
+      const double lower = ip == i ? hv[p++] : 0.0;
+      const double upper = iq == i ? tv[q++] : 0.0;
+      const double v = 0.5 * (upper + lower);
       if (v != 0.0) {
         h_row_.push_back(i);
         h_val_.push_back(v);
       }
     }
-    if (problem.h(j, j) != 0.0) {
+    if (p < hp[j + 1] && hc[p] == j && hv[p] != 0.0) {
       h_row_.push_back(j);
-      h_val_.push_back(problem.h(j, j));
+      h_val_.push_back(hv[p]);
     }
   }
   h_col_ptr_[n] = h_row_.size();
 
-  // E and A by rows. MPC inequality rows are bounds and small couplings
-  // (1–3 nonzeros); E rows are the dynamics stencils.
-  const auto to_csr = [n](const num::Matrix& m, std::size_t rows,
-                          std::vector<std::size_t>& row_ptr,
-                          std::vector<std::size_t>& col,
-                          num::AlignedBuffer& val) {
-    row_ptr.resize(rows + 1);
-    col.clear();
-    val.clear();
-    for (std::size_t r = 0; r < rows; ++r) {
-      row_ptr[r] = col.size();
-      const double* row = m.row_ptr(r);
-      for (std::size_t c = 0; c < n; ++c)
-        if (row[c] != 0.0) {
-          col.push_back(c);
-          val.push_back(row[c]);
-        }
-    }
-    row_ptr[rows] = col.size();
-  };
-  to_csr(problem.e_mat, me, e_row_ptr_, e_col_, e_val_);
-  to_csr(problem.a_mat, mi, a_row_ptr_, a_col_, a_val_);
-
-  // Row indices of A by columns: the AᵀDA pairs that land in column j of
-  // K come from the rows of A that have a nonzero in column j. (kkt_mark_
-  // serves as the fill cursor here, before it marks pattern rows below.)
-  a_col_ptr_.assign(n + 1, 0);
-  for (const std::size_t c : a_col_) ++a_col_ptr_[c + 1];
-  for (std::size_t j = 0; j < n; ++j) a_col_ptr_[j + 1] += a_col_ptr_[j];
-  kkt_mark_.assign(a_col_ptr_.begin(), a_col_ptr_.end() - 1);
-  a_row_.resize(a_col_.size());
-  for (std::size_t r = 0; r < mi; ++r)
-    for (std::size_t k = a_row_ptr_[r]; k < a_row_ptr_[r + 1]; ++k)
-      a_row_[kkt_mark_[a_col_[k]]++] = r;
+  // E and A without their stored zeros (the MPC Jacobian keeps one pattern
+  // at every linearization, so some of its entries vanish), and Aᵀ: the
+  // AᵀDA pairs that land in column j of K come from the rows of A that
+  // have a nonzero in column j.
+  e_.assign_nonzeros(problem.e_mat);
+  a_.assign_nonzeros(problem.a_mat);
+  if (problem.num_ineq() == 0) a_.reset(n);  // validate() allows 0×k
+  a_.transpose_into(at_);
+  const std::size_t* a_ptr = a_.row_ptr();
+  const std::size_t* a_col = a_.col_idx();
+  const std::size_t* e_ptr = e_.row_ptr();
+  const std::size_t* e_col = e_.col_idx();
+  const double* e_val = e_.values();
 
   // KKT pattern, column by column: K's column j is the union of H's column,
   // the AᵀA pairs (ci ≤ j, j) of every row of A through column j, and the
@@ -201,10 +193,11 @@ void QpWorkspace::load_problem(const QpProblem& problem,
     kkt_col_ptr_[j] = kkt_row_.size();
     for (std::size_t p = h_col_ptr_[j]; p < h_col_ptr_[j + 1]; ++p)
       add_entry(h_row_[p], j);
-    for (std::size_t q = a_col_ptr_[j]; q < a_col_ptr_[j + 1]; ++q) {
-      // Row a_row_[q] holds column j; its columns are ascending, so the
-      // pairs ending in j are its entries up to and including j.
-      const std::size_t* col = a_col_.data() + a_row_ptr_[a_row_[q]];
+    for (std::size_t q = at_.row_ptr()[j]; q < at_.row_ptr()[j + 1]; ++q) {
+      // Row at_.col_idx()[q] of A holds column j; its columns are
+      // ascending, so the pairs ending in j are its entries up to and
+      // including j.
+      const std::size_t* col = a_col + a_ptr[at_.col_idx()[q]];
       do {
         add_entry(*col, j);
       } while (*col++ != j);
@@ -213,8 +206,8 @@ void QpWorkspace::load_problem(const QpProblem& problem,
   }
   for (std::size_t r = 0; r < me; ++r) {
     kkt_col_ptr_[n + r] = kkt_row_.size();
-    for (std::size_t k = e_row_ptr_[r]; k < e_row_ptr_[r + 1]; ++k)
-      kkt_row_.push_back(e_col_[k]);
+    for (std::size_t k = e_ptr[r]; k < e_ptr[r + 1]; ++k)
+      kkt_row_.push_back(e_col[k]);
     kkt_row_.push_back(n + r);
   }
   kkt_col_ptr_[n + me] = kkt_row_.size();
@@ -240,25 +233,27 @@ void QpWorkspace::load_problem(const QpProblem& problem,
     kkt_base_[k_slot_[j * n + j]] += regularization;
   }
   for (std::size_t r = 0; r < me; ++r)
-    for (std::size_t k = e_row_ptr_[r]; k < e_row_ptr_[r + 1]; ++k)
-      kkt_base_[ldl_.slot(kkt_col_ptr_[n + r] + (k - e_row_ptr_[r]))] =
-          e_val_[k];
+    for (std::size_t k = e_ptr[r]; k < e_ptr[r + 1]; ++k)
+      kkt_base_[ldl_.slot(kkt_col_ptr_[n + r] + (k - e_ptr[r]))] = e_val[k];
 }
 
 void QpWorkspace::assemble_kkt(const num::Vector& z, const num::Vector& s) {
   const std::size_t n = h_col_ptr_.size() - 1;
   double* vals = ldl_.values();
   std::copy(kkt_base_.begin(), kkt_base_.end(), vals);
+  const std::size_t* a_ptr = a_.row_ptr();
+  const std::size_t* a_col = a_.col_idx();
+  const double* a_val = a_.values();
   for (std::size_t r = 0; r < z.size(); ++r) {
     // Clamp the barrier scaling: an almost-converged active constraint
     // would otherwise overflow the KKT system and poison the
     // factorization.
     const double d = std::clamp(z[r] / s[r], 1e-10, 1e10);
-    for (std::size_t ki = a_row_ptr_[r]; ki < a_row_ptr_[r + 1]; ++ki) {
-      const double dai = d * a_val_[ki];
-      const std::uint32_t* slots = k_slot_.data() + a_col_[ki] * n;
-      for (std::size_t kj = ki; kj < a_row_ptr_[r + 1]; ++kj)
-        vals[slots[a_col_[kj]]] += dai * a_val_[kj];
+    for (std::size_t ki = a_ptr[r]; ki < a_ptr[r + 1]; ++ki) {
+      const double dai = d * a_val[ki];
+      const std::uint32_t* slots = k_slot_.data() + a_col[ki] * n;
+      for (std::size_t kj = ki; kj < a_ptr[r + 1]; ++kj)
+        vals[slots[a_col[kj]]] += dai * a_val[kj];
     }
   }
 }
@@ -338,11 +333,19 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
   // Sparse views, KKT pattern + cached analysis, slot maps.
   ws.load_problem(problem, options.regularization);
 
-  // row-sparse products over the CSR view of A
-  const auto csr_dot_row = [&ws](std::size_t r, const num::Vector& v) {
+  // E and A as loaded (stored zeros dropped).
+  const std::size_t* e_ptr = ws.e_.row_ptr();
+  const std::size_t* e_col = ws.e_.col_idx();
+  const double* e_val = ws.e_.values();
+  const std::size_t* a_ptr = ws.a_.row_ptr();
+  const std::size_t* a_col = ws.a_.col_idx();
+  const double* a_val = ws.a_.values();
+
+  // row-sparse products over A
+  const auto csr_dot_row = [=](std::size_t r, const num::Vector& v) {
     double acc = 0.0;
-    for (std::size_t k = ws.a_row_ptr_[r]; k < ws.a_row_ptr_[r + 1]; ++k)
-      acc += ws.a_val_[k] * v[ws.a_col_[k]];
+    for (std::size_t k = a_ptr[r]; k < a_ptr[r + 1]; ++k)
+      acc += a_val[k] * v[a_col[k]];
     return acc;
   };
   // out = H·x over the symmetric upper triangle (unregularized).
@@ -369,9 +372,9 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
     for (std::size_t r = 0; r < me; ++r) {
       double acc = -problem.e_vec[r];
       const double yr = y[r];
-      for (std::size_t k = ws.e_row_ptr_[r]; k < ws.e_row_ptr_[r + 1]; ++k) {
-        acc += ws.e_val_[k] * x[ws.e_col_[k]];
-        ws.r_dual_[ws.e_col_[k]] += ws.e_val_[k] * yr;
+      for (std::size_t k = e_ptr[r]; k < e_ptr[r + 1]; ++k) {
+        acc += e_val[k] * x[e_col[k]];
+        ws.r_dual_[e_col[k]] += e_val[k] * yr;
       }
       ws.r_eq_[r] = acc;
     }
@@ -379,9 +382,9 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
     for (std::size_t r = 0; r < mi; ++r) {
       const double zr = z[r];
       double acc = s[r] - problem.b_vec[r];
-      for (std::size_t k = ws.a_row_ptr_[r]; k < ws.a_row_ptr_[r + 1]; ++k) {
-        acc += ws.a_val_[k] * x[ws.a_col_[k]];
-        ws.r_dual_[ws.a_col_[k]] += ws.a_val_[k] * zr;
+      for (std::size_t k = a_ptr[r]; k < a_ptr[r + 1]; ++k) {
+        acc += a_val[k] * x[a_col[k]];
+        ws.r_dual_[a_col[k]] += a_val[k] * zr;
       }
       ws.r_ineq_[r] = acc;
     }
@@ -574,8 +577,8 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
       for (std::size_t r = 0; r < mi; ++r) {
         const double wr = ws.tmp_mi_[r];
         if (wr == 0.0) continue;
-        for (std::size_t k = ws.a_row_ptr_[r]; k < ws.a_row_ptr_[r + 1]; ++k)
-          ws.rhs1_[ws.a_col_[k]] -= ws.a_val_[k] * wr;
+        for (std::size_t k = a_ptr[r]; k < a_ptr[r + 1]; ++k)
+          ws.rhs1_[a_col[k]] -= a_val[k] * wr;
       }
       ws.rhs_.resize(n + me);
       for (std::size_t i = 0; i < n; ++i) ws.rhs_[i] = ws.rhs1_[i];

@@ -1,4 +1,4 @@
-// Convex quadratic programming over dense problem matrices.
+// Convex quadratic programming over sparse (CSR) problem matrices.
 //
 //   minimize    ½ xᵀH x + gᵀx
 //   subject to  E x = e          (equalities)
@@ -13,10 +13,12 @@
 // Problem sizes here are MPC-scale (n ≲ 300, a few hundred constraints),
 // and the systems are almost all zeros: the horizon-12 MPC KKT matrix is
 // 208×208 with ~560 nonzeros in its upper triangle. Each solve reads H, E
-// and A once into sparse views; the per-iteration KKT system
-// [K Eᵀ; E 0], K = H + AᵀDA, is then factored by one sparse quasi-definite
-// LDLᵀ (numerics/sparse_ldl) whose symbolic analysis is cached in the
-// workspace and reused whenever the next QP has exactly the same pattern.
+// and A once, in O(nnz), into the views the iteration uses (stored zeros
+// dropped, so the KKT pattern depends on the nonzero values alone); the
+// per-iteration KKT system [K Eᵀ; E 0], K = H + AᵀDA, is then factored by
+// one sparse quasi-definite LDLᵀ (numerics/sparse_ldl) whose symbolic
+// analysis is cached in the workspace and reused whenever the next QP has
+// exactly the same pattern.
 // The analysis depends on that pattern alone, never on which QPs the
 // workspace solved before, so results are history-independent. Every
 // iteration scatters H + AᵀDA and E straight into the factor's value array
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "numerics/aligned.hpp"
+#include "numerics/csr_matrix.hpp"
 #include "numerics/factorization.hpp"
 #include "numerics/matrix.hpp"
 #include "numerics/sparse_ldl.hpp"
@@ -49,11 +52,11 @@
 namespace evc::opt {
 
 struct QpProblem {
-  num::Matrix h;  ///< n×n, symmetric positive semidefinite (regularized here)
+  num::CsrMatrix h;  ///< n×n, symmetric PSD (regularized here)
   num::Vector g;  ///< n
-  num::Matrix e_mat;  ///< m_e×n equality matrix (may be 0×n)
+  num::CsrMatrix e_mat;  ///< m_e×n equality matrix (may be 0×n)
   num::Vector e_vec;  ///< m_e
-  num::Matrix a_mat;  ///< m_i×n inequality matrix (may be 0×n)
+  num::CsrMatrix a_mat;  ///< m_i×n inequality matrix (may be 0×n)
   num::Vector b_vec;  ///< m_i
 
   std::size_t num_vars() const { return g.size(); }
@@ -178,16 +181,12 @@ class QpWorkspace {
 
   QpPerfCounters counters_;
 
-  // Sparse views of the problem, rebuilt per solve: the upper triangle of
-  // the symmetrized H by columns (without the regularization), E and A by
-  // rows, and the row indices of A by columns.
+  // Views of the problem, rebuilt per solve: the upper triangle of the
+  // symmetrized H by columns (without the regularization), Hᵀ (to pair
+  // H(i, j) with H(j, i)), E and A without their stored zeros, and Aᵀ.
   std::vector<std::size_t> h_col_ptr_, h_row_;
   num::AlignedBuffer h_val_;
-  std::vector<std::size_t> e_row_ptr_, e_col_;
-  num::AlignedBuffer e_val_;
-  std::vector<std::size_t> a_row_ptr_, a_col_;
-  num::AlignedBuffer a_val_;
-  std::vector<std::size_t> a_col_ptr_, a_row_;
+  num::CsrMatrix ht_, e_, a_, at_;
 
   // Upper pattern of the KKT matrix [K Eᵀ; E −δI] (compressed-column), and
   // the slot map of K: k_slot_[i·n + j] (i ≤ j, (i, j) in the pattern) is
@@ -209,7 +208,7 @@ class QpWorkspace {
   num::Vector dx_, dy_, ds_, dz_, rc_;
 };
 
-/// Solve a dense convex QP. H is symmetrized internally. The overload
+/// Solve a convex QP. H is symmetrized internally. The overload
 /// without a workspace allocates a fresh one per call (setup code); hot
 /// paths should own a QpWorkspace and pass it in, optionally with a warm
 /// start from the previous solve in the sequence.

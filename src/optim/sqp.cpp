@@ -60,7 +60,8 @@ struct MeritEval {
   double phi(double nu) const { return f + nu * viol_l1(); }
 };
 
-MeritEval evaluate_merit(const NlpProblem& problem, const num::Matrix& a_mat,
+MeritEval evaluate_merit(const NlpProblem& problem,
+                         const num::CsrMatrix& a_mat,
                          const num::Vector& b_vec, const num::Vector& x,
                          num::Vector& ax_scratch) {
   MeritEval m;
@@ -69,7 +70,7 @@ MeritEval evaluate_merit(const NlpProblem& problem, const num::Matrix& a_mat,
   m.eq_l1 = m.c.norm1();
   m.eq_inf = m.c.norm_inf();
   if (!b_vec.empty()) {
-    num::gemv(1.0, a_mat, x, 0.0, ax_scratch);
+    a_mat.multiply(x, ax_scratch);
     for (std::size_t i = 0; i < b_vec.size(); ++i) {
       const double v = ax_scratch[i] - b_vec[i];
       if (v > 0.0) {
@@ -83,8 +84,8 @@ MeritEval evaluate_merit(const NlpProblem& problem, const num::Matrix& a_mat,
 
 }  // namespace
 
-bool LeastNormRestoration::solve(const num::Matrix& j, const num::Vector& c,
-                                 num::Vector& p) {
+bool LeastNormRestoration::solve(const num::CsrMatrix& j,
+                                 const num::Vector& c, num::Vector& p) {
   // Relative bound on ‖J·p + c‖∞ after refinement. A consistent system
   // refines to roundoff; c outside the range of a rank-deficient J leaves
   // a residual of the order of ‖c‖.
@@ -98,13 +99,16 @@ bool LeastNormRestoration::solve(const num::Matrix& j, const num::Vector& c,
     row_.push_back(i);
     val_.push_back(1.0);
   }
+  // J's stored zeros stay out of the pattern.
+  const std::size_t* j_ptr = j.row_ptr();
+  const std::size_t* j_col = j.col_idx();
+  const double* j_val = j.values();
   for (std::size_t r = 0; r < me; ++r) {
     col_ptr_[n + r] = row_.size();
-    const double* jr = j.row_ptr(r);
-    for (std::size_t col = 0; col < n; ++col)
-      if (jr[col] != 0.0) {
-        row_.push_back(col);
-        val_.push_back(jr[col]);
+    for (std::size_t k = j_ptr[r]; k < j_ptr[r + 1]; ++k)
+      if (j_val[k] != 0.0) {
+        row_.push_back(j_col[k]);
+        val_.push_back(j_val[k]);
       }
     row_.push_back(n + r);
     val_.push_back(0.0);
@@ -138,7 +142,7 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
                            const SqpWarmStart* warm) const {
   const std::size_t n = problem.num_vars();
   EVC_EXPECT(x0.size() == n, "SQP initial point dimension mismatch");
-  const num::Matrix& a_mat = problem.ineq_matrix();
+  const num::CsrMatrix& a_mat = problem.ineq_matrix();
   const num::Vector& b_vec = problem.ineq_vector();
 
   EVC_TRACE_SPAN_VAR(sqp_span, "sqp.solve");
@@ -148,7 +152,7 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
 
   // The inequality system is fixed across iterations: copy it into the
   // reused QP subproblem once per solve.
-  qp_.a_mat.copy_from(a_mat);
+  qp_.a_mat = a_mat;
 
   // Dual seed for the first QP subproblem (receding-horizon warm start).
   bool have_qp_warm = false;
@@ -188,18 +192,18 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
 
     // QP subproblem in the step d:
     //   min ½dᵀHd + ∇fᵀd   s.t.  J·d = −c,  A·d ≤ b − A·x.
-    qp_.h = problem.cost_hessian(result.x);
-    for (std::size_t i = 0; i < n; ++i)
-      qp_.h(i, i) += options_.hessian_regularization;
+    qp_.h = problem.cost_hessian();
+    qp_.h.add_to_diagonal(options_.hessian_regularization);
     qp_.g = grad;
-    qp_.e_mat = problem.eq_jacobian(result.x);
+    problem.eq_jacobian(result.x, qp_.e_mat);
     qp_.e_vec.resize(cur.c.size());
     for (std::size_t i = 0; i < cur.c.size(); ++i) qp_.e_vec[i] = -cur.c[i];
     if (b_vec.empty()) {
       qp_.b_vec.assign(0, 0.0);
     } else {
-      num::gemv(-1.0, a_mat, result.x, 0.0, qp_.b_vec);
-      qp_.b_vec += b_vec;
+      a_mat.multiply(result.x, qp_.b_vec);
+      for (std::size_t i = 0; i < b_vec.size(); ++i)
+        qp_.b_vec[i] = b_vec[i] - qp_.b_vec[i];
     }
 
     // The QP decision variable is the *step*, so the primal seed is zero;
@@ -243,7 +247,7 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
         // warm seed did not help this subproblem).
         qp_seed = nullptr;
         extra_reg = std::max(extra_reg * 100.0, 1e-6);
-        for (std::size_t i = 0; i < n; ++i) qp_.h(i, i) += extra_reg;
+        qp_.h.add_to_diagonal(extra_reg);
       }
     }
     if (!qp_result.usable()) {

@@ -1,18 +1,21 @@
 // Sequential Quadratic Programming for the MPC's bilinear program.
 //
 // Per iteration: linearize the equalities around the iterate, solve the
-// convex QP subproblem (exact cost Hessian + regularization), then globalize
-// with a backtracking line search on the ℓ1 merit function
+// convex QP subproblem (the NLP's constant cost Hessian + regularization),
+// then globalize with a backtracking line search on the ℓ1 merit function
 //     φ(x) = f(x) + ν·‖c(x)‖₁ + ν·‖(A x − b)₊‖₁.
 // The paper prescribes exactly this solver family for the HVAC MPC
 // (Kelman & Borrelli, IFAC'11 — bilinear HVAC MPC via SQP).
 //
 // Hot-path behaviour: the solver owns a persistent QpWorkspace and a reused
 // QP subproblem, so consecutive iterations (and consecutive solves on a
-// receding horizon) share storage. QP duals are carried from one subproblem
-// to the next as interior-point warm starts, and the merit value of an
-// accepted line-search candidate is cached so the next iteration does not
-// re-evaluate cost/constraints at the same point.
+// receding horizon) share storage. H, the Jacobian and A stay sparse (CSR)
+// from the NLP to the QP: the Jacobian is refilled in place, and the cost,
+// the merit's A·x and the subproblem's b − A·x are sparse products. QP
+// duals are carried from one subproblem to the next as interior-point warm
+// starts, and the merit value of an accepted line-search candidate is
+// cached so the next iteration does not re-evaluate cost/constraints at
+// the same point.
 #pragma once
 
 #include <cstddef>
@@ -112,7 +115,7 @@ class LeastNormRestoration {
   /// Returns false — the caller then falls back to plain backtracking —
   /// when the refined step does not meet J·p = −c (rank-deficient J with c
   /// outside its range) or is non-finite.
-  bool solve(const num::Matrix& j, const num::Vector& c, num::Vector& p);
+  bool solve(const num::CsrMatrix& j, const num::Vector& c, num::Vector& p);
 
  private:
   num::SparseLdl ldl_;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "dense_qp.hpp"
 #include "optim/active_set.hpp"
 #include "util/random.hpp"
 
@@ -13,9 +14,9 @@ namespace {
 using num::Matrix;
 using num::Vector;
 
-QpProblem box_projection_problem() {
+DenseQp box_projection_problem() {
   // min ‖x − (5, −5)‖²  s.t. −1 ≤ x ≤ 1.
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix::identity(2);
   p.h *= 2.0;
   p.g = Vector{-10, 10};
@@ -31,8 +32,8 @@ QpProblem box_projection_problem() {
 }
 
 TEST(ActiveSet, SolvesBoxProjection) {
-  const QpProblem p = box_projection_problem();
-  const QpResult r = solve_qp_active_set(p, Vector{0, 0});
+  const DenseQp p = box_projection_problem();
+  const QpResult r = solve_qp_active_set(p.sparse(), Vector{0, 0});
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 1.0, 1e-8);
   EXPECT_NEAR(r.x[1], -1.0, 1e-8);
@@ -44,7 +45,7 @@ TEST(ActiveSet, SolvesBoxProjection) {
 }
 
 TEST(ActiveSet, UnconstrainedInteriorOptimum) {
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix::identity(2);
   p.h *= 2.0;
   p.g = Vector{-1.0, 0.5};  // optimum (0.5, −0.25), inside the box
@@ -56,7 +57,7 @@ TEST(ActiveSet, UnconstrainedInteriorOptimum) {
   p.a_mat(2, 1) = 1;
   p.a_mat(3, 1) = -1;
   p.b_vec = Vector{1, 1, 1, 1};
-  const QpResult r = solve_qp_active_set(p, Vector{0, 0});
+  const QpResult r = solve_qp_active_set(p.sparse(), Vector{0, 0});
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 0.5, 1e-9);
   EXPECT_NEAR(r.x[1], -0.25, 1e-9);
@@ -64,7 +65,7 @@ TEST(ActiveSet, UnconstrainedInteriorOptimum) {
 
 TEST(ActiveSet, HandlesEqualityConstraints) {
   // min ½‖x‖² s.t. x0 + x1 = 2, x0 ≤ 0.5 → (0.5, 1.5).
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix::identity(2);
   p.g = Vector(2);
   p.e_mat = Matrix(1, 2);
@@ -74,33 +75,33 @@ TEST(ActiveSet, HandlesEqualityConstraints) {
   p.a_mat = Matrix(1, 2);
   p.a_mat(0, 0) = 1;
   p.b_vec = Vector{0.5};
-  const QpResult r = solve_qp_active_set(p, Vector{0.0, 2.0});
+  const QpResult r = solve_qp_active_set(p.sparse(), Vector{0.0, 2.0});
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 0.5, 1e-8);
   EXPECT_NEAR(r.x[1], 1.5, 1e-8);
 }
 
 TEST(ActiveSet, RejectsInfeasibleStart) {
-  const QpProblem p = box_projection_problem();
-  const QpResult r = solve_qp_active_set(p, Vector{5, 5});
+  const DenseQp p = box_projection_problem();
+  const QpResult r = solve_qp_active_set(p.sparse(), Vector{5, 5});
   EXPECT_EQ(r.status, QpStatus::kNumericalIssue);
 }
 
 TEST(ActiveSet, StartOnActiveConstraint) {
   // Starting exactly on a bound (active working set from step one).
-  const QpProblem p = box_projection_problem();
-  const QpResult r = solve_qp_active_set(p, Vector{1.0, 0.0});
+  const DenseQp p = box_projection_problem();
+  const QpResult r = solve_qp_active_set(p.sparse(), Vector{1.0, 0.0});
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 1.0, 1e-8);
   EXPECT_NEAR(r.x[1], -1.0, 1e-8);
 }
 
 TEST(FeasiblePoint, FindsOneWhenItExists) {
-  const QpProblem p = box_projection_problem();
-  const auto x = find_feasible_point(p);
+  const DenseQp p = box_projection_problem();
+  const auto x = find_feasible_point(p.sparse());
   ASSERT_TRUE(x.has_value());
   const Vector ax = p.a_mat * *x;
-  for (std::size_t i = 0; i < p.num_ineq(); ++i)
+  for (std::size_t i = 0; i < p.b_vec.size(); ++i)
     EXPECT_LE(ax[i], p.b_vec[i] + 1e-7);
 }
 
@@ -113,7 +114,7 @@ TEST_P(SolverCrossValidation, MatchesInteriorPointOptimum) {
   const std::size_t n = 2 + rng.next_u64() % 6;
   const std::size_t mi = 1 + rng.next_u64() % (2 * n);
 
-  QpProblem p;
+  DenseQp p;
   Matrix g(n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1, 1);
@@ -133,9 +134,9 @@ TEST_P(SolverCrossValidation, MatchesInteriorPointOptimum) {
     p.b_vec[r] = p.a_mat.row(r).dot(xf) + rng.uniform(0.1, 2.0);
   }
 
-  const QpResult ip = solve_qp(p);
+  const QpResult ip = solve_qp(p.sparse());
   ASSERT_EQ(ip.status, QpStatus::kSolved) << "seed " << GetParam();
-  const QpResult as = solve_qp_active_set(p, xf);
+  const QpResult as = solve_qp_active_set(p.sparse(), xf);
   ASSERT_EQ(as.status, QpStatus::kSolved) << "seed " << GetParam();
 
   // Strictly convex → unique optimum: both solvers must agree.

@@ -48,18 +48,16 @@ core::MpcFormulation make_formulation(std::size_t horizon,
 /// against the problems it actually sees.
 opt::QpProblem subproblem_at(const core::MpcFormulation& f,
                              const num::Vector& z) {
-  const std::size_t n = f.num_vars();
   opt::QpProblem qp;
-  qp.h = f.cost_hessian(z);
-  for (std::size_t i = 0; i < n; ++i) qp.h(i, i) += 1e-6;
+  qp.h = f.cost_hessian();
+  qp.h.add_to_diagonal(1e-6);
   qp.g = f.cost_gradient(z);
-  qp.e_mat = f.eq_jacobian(z);
+  f.eq_jacobian(z, qp.e_mat);
   const num::Vector c = f.eq_constraints(z);
   qp.e_vec.resize(c.size());
   for (std::size_t i = 0; i < c.size(); ++i) qp.e_vec[i] = -c[i];
   qp.a_mat = f.ineq_matrix();
-  num::Vector ax(qp.a_mat.rows());
-  num::gemv(1.0, qp.a_mat, z, 0.0, ax);
+  const num::Vector ax = qp.a_mat.multiply(z);
   qp.b_vec.resize(ax.size());
   for (std::size_t i = 0; i < ax.size(); ++i)
     qp.b_vec[i] = f.ineq_vector()[i] - ax[i];
@@ -96,22 +94,25 @@ struct KktReport {
 /// both are within 1e-8 of the optimum in objective and KKT terms.)
 KktReport kkt_report(const opt::QpProblem& qp, const opt::QpResult& r) {
   const std::size_t n = qp.num_vars();
+  const num::Matrix h = qp.h.to_dense();
+  const num::Matrix e_mat = qp.e_mat.to_dense();
+  const num::Matrix a_mat = qp.a_mat.to_dense();
   KktReport out;
   num::Vector stat(n);
-  num::gemv(1.0, qp.h, r.x, 0.0, stat);
+  num::gemv(1.0, h, r.x, 0.0, stat);
   for (std::size_t j = 0; j < n; ++j)
     out.objective += (0.5 * stat[j] + qp.g[j]) * r.x[j];
   for (std::size_t j = 0; j < n; ++j) stat[j] += qp.g[j];
-  num::gemv_t(1.0, qp.e_mat, r.y_eq, 1.0, stat);
-  num::gemv_t(1.0, qp.a_mat, r.z_ineq, 1.0, stat);
+  num::gemv_t(1.0, e_mat, r.y_eq, 1.0, stat);
+  num::gemv_t(1.0, a_mat, r.z_ineq, 1.0, stat);
   for (std::size_t j = 0; j < n; ++j)
     out.stationarity = std::max(out.stationarity, std::abs(stat[j]));
   num::Vector ex(qp.num_eq());
-  num::gemv(1.0, qp.e_mat, r.x, 0.0, ex);
+  num::gemv(1.0, e_mat, r.x, 0.0, ex);
   for (std::size_t i = 0; i < qp.num_eq(); ++i)
     out.eq_violation = std::max(out.eq_violation, std::abs(ex[i] - qp.e_vec[i]));
   num::Vector ax(qp.num_ineq());
-  num::gemv(1.0, qp.a_mat, r.x, 0.0, ax);
+  num::gemv(1.0, a_mat, r.x, 0.0, ax);
   for (std::size_t i = 0; i < qp.num_ineq(); ++i) {
     out.ineq_violation = std::max(out.ineq_violation, ax[i] - qp.b_vec[i]);
     out.complementarity = std::max(

@@ -48,11 +48,11 @@ DenseQp random_dense_qp(std::size_t n, std::size_t m, std::uint64_t seed,
 
 opt::QpResult ipm_reference(const DenseQp& qp) {
   opt::QpProblem p;
-  p.h = qp.h;
+  p.h = num::CsrMatrix::from_dense(qp.h);
   p.g = qp.g;
-  p.e_mat = num::Matrix(0, qp.h.rows());
+  p.e_mat = num::CsrMatrix(0, qp.h.rows());
   p.e_vec = num::Vector(0);
-  p.a_mat = qp.a;
+  p.a_mat = num::CsrMatrix::from_dense(qp.a);
   p.b_vec = qp.b;
   opt::QpOptions o;
   o.tolerance = 1e-10;

@@ -147,7 +147,7 @@ TEST(InputRatePenalty, PenalizesConsecutiveInputDifferences) {
   const double c_step = f.cost(z);
   EXPECT_NEAR(c_step - c0, 12.5, 1e-6);
   // Hessian stays PSD with the tridiagonal term.
-  const num::Matrix h = f.cost_hessian(z);
+  const num::Matrix h = f.cost_hessian().to_dense();
   num::Vector v(h.rows(), 1.0);
   EXPECT_GE(v.dot(h * v), -1e-9);
 }

@@ -78,7 +78,7 @@ TEST(MpcFormulation, ColdStartSatisfiesMostConstraints) {
   EXPECT_NEAR(c[6 * horizon], 0.0, 1e-12);
   EXPECT_NEAR(c[6 * horizon + 1], 0.0, 1e-12);
   // Inequalities hold at the cold start.
-  const num::Vector slack = f.ineq_vector() - f.ineq_matrix() * z;
+  const num::Vector slack = f.ineq_vector() - f.ineq_matrix().multiply(z);
   for (std::size_t i = 0; i < slack.size(); ++i)
     EXPECT_GT(slack[i], -1e-9) << "ineq row " << i;
 }
@@ -90,7 +90,9 @@ TEST(MpcFormulation, JacobianMatchesFiniteDifferences) {
   // Perturb to a generic (infeasible) point so all bilinear terms are live.
   for (std::size_t i = 0; i < z.size(); ++i) z[i] += rng.uniform(-0.3, 0.3);
 
-  const num::Matrix jac = f.eq_jacobian(z);
+  num::CsrMatrix sparse_jac;
+  f.eq_jacobian(z, sparse_jac);
+  const num::Matrix jac = sparse_jac.to_dense();
   const num::Vector c0 = f.eq_constraints(z);
   const double h = 1e-6;
   for (std::size_t j = 0; j < z.size(); ++j) {
@@ -122,7 +124,7 @@ TEST(MpcFormulation, CostGradientMatchesFiniteDifferences) {
 
 TEST(MpcFormulation, CostHessianIsPsd) {
   const MpcFormulation f = make_formulation(5);
-  const num::Matrix h = f.cost_hessian(f.cold_start());
+  const num::Matrix h = f.cost_hessian().to_dense();
   SplitMix64 rng(31);
   for (int trial = 0; trial < 50; ++trial) {
     num::Vector v(h.rows());
@@ -140,6 +142,138 @@ TEST(MpcFormulation, SocDeviationTermIsTranslationInvariant) {
   const double c0 = f.cost(z);
   for (std::size_t k = 0; k <= idx.horizon(); ++k) z[idx.soc(k)] += 7.0;
   EXPECT_NEAR(f.cost(z), c0, 1e-8);
+}
+
+// The QP reuses the Jacobian's storage and its KKT analysis across SQP
+// iterations: the stored pattern must not depend on the iterate, even
+// where a coefficient vanishes (Ts = Tc at the cold start zeroes the coil
+// rows' flow coefficients).
+TEST(MpcFormulation, JacobianPatternIsFixed) {
+  const MpcFormulation f = make_formulation(5);
+  num::CsrMatrix cold;
+  f.eq_jacobian(f.cold_start(), cold);
+  SplitMix64 rng(29);
+  num::Vector z = f.cold_start();
+  for (std::size_t i = 0; i < z.size(); ++i) z[i] += rng.uniform(-0.5, 0.5);
+  num::CsrMatrix moved = cold;  // refilled in place
+  f.eq_jacobian(z, moved);
+
+  ASSERT_EQ(cold.rows(), f.num_eq());
+  ASSERT_EQ(cold.cols(), f.num_vars());
+  ASSERT_EQ(moved.rows(), cold.rows());
+  ASSERT_EQ(moved.nnz(), cold.nnz());
+  for (std::size_t r = 0; r <= cold.rows(); ++r)
+    EXPECT_EQ(moved.row_ptr()[r], cold.row_ptr()[r]) << "row " << r;
+  for (std::size_t k = 0; k < cold.nnz(); ++k)
+    EXPECT_EQ(moved.col_idx()[k], cold.col_idx()[k]) << "entry " << k;
+  std::size_t stored_zeros = 0;
+  for (std::size_t k = 0; k < cold.nnz(); ++k)
+    if (cold.values()[k] == 0.0) ++stored_zeros;
+  EXPECT_GT(stored_zeros, 0u);
+}
+
+TEST(MpcFormulation, HessianStoresEveryDiagonalEntry) {
+  const MpcFormulation f = make_formulation(5);
+  const num::CsrMatrix& h = f.cost_hessian();
+  ASSERT_EQ(h.rows(), f.num_vars());
+  for (std::size_t i = 0; i < h.rows(); ++i) {
+    bool stored = false;
+    for (std::size_t k = h.row_ptr()[i]; k < h.row_ptr()[i + 1]; ++k)
+      stored = stored || h.col_idx()[k] == i;
+    EXPECT_TRUE(stored) << "diagonal " << i;
+  }
+  // The SQP regularizes each diagonal entry in place.
+  num::CsrMatrix reg = h;
+  reg.add_to_diagonal(1e-8);
+  for (std::size_t i = 0; i < h.rows(); ++i)
+    EXPECT_EQ(reg.coeff(i, i), h.coeff(i, i) + 1e-8);
+}
+
+// Dense reference of the cost Hessian (Eq. 21 plus the optional actuator-
+// rate term) and of the inequality system C1–C10 with the soft comfort
+// zone, written straight from the formulation's definition.
+num::Matrix reference_hessian(const MpcIndex& idx, const MpcWeights& w,
+                              bool soc_reference) {
+  const std::size_t horizon = idx.horizon();
+  num::Matrix h(idx.num_vars(), idx.num_vars());
+  for (std::size_t k = 0; k <= horizon; ++k)
+    h(idx.x(k), idx.x(k)) += 2.0 * w.comfort;
+  if (w.input_rate > 0.0) {
+    const double scale[4] = {1.0, 1.0, 100.0, 1600.0};
+    for (std::size_t k = 0; k + 1 < horizon; ++k) {
+      const std::size_t a[4] = {idx.ts(k), idx.tc(k), idx.dr(k), idx.mz(k)};
+      const std::size_t b[4] = {idx.ts(k + 1), idx.tc(k + 1), idx.dr(k + 1),
+                                idx.mz(k + 1)};
+      for (int ch = 0; ch < 4; ++ch) {
+        const double wr = 2.0 * w.input_rate * scale[ch];
+        h(a[ch], a[ch]) += wr;
+        h(b[ch], b[ch]) += wr;
+        h(a[ch], b[ch]) -= wr;
+        h(b[ch], a[ch]) -= wr;
+      }
+    }
+  }
+  const std::size_t m = horizon + 1;
+  for (std::size_t a = 0; a < m; ++a)
+    for (std::size_t b = 0; b < m; ++b) {
+      if (soc_reference && a != b) continue;
+      const double centering =
+          soc_reference ? 1.0
+                        : (a == b ? 1.0 : 0.0) - 1.0 / static_cast<double>(m);
+      h(idx.soc(a), idx.soc(b)) += 2.0 * w.soc_deviation * centering;
+    }
+  return h;
+}
+
+num::Matrix reference_inequalities(const MpcIndex& idx) {
+  num::Matrix a(idx.num_ineq(), idx.num_vars());
+  std::size_t row = 0;
+  for (std::size_t k = 0; k < idx.horizon(); ++k) {
+    a(row++, idx.mz(k)) = 1.0;   // C1
+    a(row++, idx.mz(k)) = -1.0;
+    a(row, idx.x(k + 1)) = 1.0;  // C2, soft
+    a(row++, idx.slack(k)) = -1.0;
+    a(row, idx.x(k + 1)) = -1.0;
+    a(row++, idx.slack(k)) = -1.0;
+    a(row++, idx.slack(k)) = -1.0;
+    a(row, idx.tc(k)) = 1.0;  // C3: Tc ≤ Ts
+    a(row++, idx.ts(k)) = -1.0;
+    a(row, idx.tc(k)) = 1.0;  // C4: Tc ≤ Tm
+    a(row++, idx.tm(k)) = -1.0;
+    a(row++, idx.tc(k)) = -1.0;  // C5
+    a(row++, idx.ts(k)) = 1.0;   // C6
+    a(row++, idx.dr(k)) = 1.0;   // C7
+    a(row++, idx.dr(k)) = -1.0;
+    a(row++, idx.ph(k)) = 1.0;  // C8/C9
+    a(row++, idx.ph(k)) = -1.0;
+    a(row++, idx.pc(k)) = 1.0;
+    a(row++, idx.pc(k)) = -1.0;
+    a(row++, idx.pf(k)) = 1.0;  // C10
+  }
+  EXPECT_EQ(row, idx.num_ineq());
+  return a;
+}
+
+void expect_same(const num::Matrix& got, const num::Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t r = 0; r < want.rows(); ++r)
+    for (std::size_t c = 0; c < want.cols(); ++c)
+      EXPECT_EQ(got(r, c), want(r, c)) << "(" << r << ", " << c << ")";
+}
+
+TEST(MpcFormulation, SparseMatricesMatchDenseReference) {
+  for (const bool with_reference : {false, true}) {
+    MpcWeights weights;
+    weights.input_rate = with_reference ? 0.5 : 0.0;
+    MpcWindowData w = make_window(5);
+    if (with_reference) w.soc_reference = 80.0;
+    const MpcFormulation f(hvac::default_hvac_params(),
+                           bat::leaf_24kwh_params(), weights, w);
+    expect_same(f.cost_hessian().to_dense(),
+                reference_hessian(f.index(), weights, with_reference));
+    expect_same(f.ineq_matrix().to_dense(), reference_inequalities(f.index()));
+  }
 }
 
 TEST(MpcFormulation, RejectsInconsistentWindow) {
@@ -269,7 +403,9 @@ TEST(MpcFormulationNonlinearBattery, JacobianMatchesFiniteDifferences) {
   num::Vector z = f.cold_start();
   for (std::size_t i = 0; i < z.size(); ++i) z[i] += rng.uniform(-0.3, 0.3);
 
-  const num::Matrix jac = f.eq_jacobian(z);
+  num::CsrMatrix sparse_jac;
+  f.eq_jacobian(z, sparse_jac);
+  const num::Matrix jac = sparse_jac.to_dense();
   const num::Vector c0 = f.eq_constraints(z);
   const double h = 1e-6;
   for (std::size_t j = 0; j < z.size(); ++j) {

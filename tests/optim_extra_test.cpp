@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "dense_qp.hpp"
 #include "optim/active_set.hpp"
 #include "optim/sqp.hpp"
 #include "util/random.hpp"
@@ -19,7 +20,7 @@ using num::Vector;
 
 TEST(QpDegenerate, DuplicateInequalityRows) {
   // The same constraint twice must not confuse either solver.
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix::identity(2);
   p.h *= 2.0;
   p.g = Vector{-6, 0};  // pull toward x0 = 3
@@ -29,10 +30,10 @@ TEST(QpDegenerate, DuplicateInequalityRows) {
   p.a_mat(0, 0) = 1;
   p.a_mat(1, 0) = 1;
   p.b_vec = Vector{1, 1};
-  const QpResult ip = solve_qp(p);
+  const QpResult ip = solve_qp(p.sparse());
   ASSERT_EQ(ip.status, QpStatus::kSolved);
   EXPECT_NEAR(ip.x[0], 1.0, 1e-6);
-  const QpResult as = solve_qp_active_set(p, Vector{0, 0});
+  const QpResult as = solve_qp_active_set(p.sparse(), Vector{0, 0});
   ASSERT_TRUE(as.status == QpStatus::kSolved ||
               as.status == QpStatus::kMaxIterations);
   EXPECT_NEAR(as.x[0], 1.0, 1e-6);
@@ -40,14 +41,14 @@ TEST(QpDegenerate, DuplicateInequalityRows) {
 
 TEST(QpDegenerate, ActiveConstraintExactlyAtOptimum) {
   // Unconstrained optimum sits exactly on the boundary (weakly active).
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix(1, 1, 2.0);
   p.g = Vector{-2.0};  // optimum x = 1
   p.e_mat = Matrix(0, 1);
   p.e_vec = Vector(0);
   p.a_mat = Matrix(1, 1, 1.0);
   p.b_vec = Vector{1.0};  // x ≤ 1, active with zero multiplier
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_qp(p.sparse());
   ASSERT_EQ(r.status, QpStatus::kSolved);
   // 1e-4, not the solver's 1e-8 duality tolerance: on a weakly active
   // constraint (zero multiplier) the central path satisfies s·z ≈ tol with
@@ -59,7 +60,7 @@ TEST(QpDegenerate, ActiveConstraintExactlyAtOptimum) {
 
 TEST(QpDegenerate, VeryIllScaledProblem) {
   // Hessian scales spanning 8 orders of magnitude.
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix(2, 2);
   p.h(0, 0) = 1e-4;
   p.h(1, 1) = 1e4;
@@ -70,7 +71,7 @@ TEST(QpDegenerate, VeryIllScaledProblem) {
   p.a_mat(0, 0) = 1;
   p.a_mat(1, 1) = 1;
   p.b_vec = Vector{10, 10};
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_qp(p.sparse());
   ASSERT_TRUE(r.usable());
   EXPECT_NEAR(r.x[0], 1.0, 1e-2);
   EXPECT_NEAR(r.x[1], 1.0, 1e-4);
@@ -85,7 +86,7 @@ TEST_P(EqualityCrossValidation, BothSolversAgree) {
   const std::size_t n = 3 + rng.next_u64() % 5;
   const std::size_t me = 1 + rng.next_u64() % (n - 1);
 
-  QpProblem p;
+  DenseQp p;
   Matrix g(n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1, 1);
@@ -112,9 +113,9 @@ TEST_P(EqualityCrossValidation, BothSolversAgree) {
     p.b_vec[2 * i + 1] = 5.0;
   }
 
-  const QpResult ip = solve_qp(p);
+  const QpResult ip = solve_qp(p.sparse());
   ASSERT_EQ(ip.status, QpStatus::kSolved) << "seed " << GetParam();
-  const QpResult as = solve_qp_active_set(p, xf);
+  const QpResult as = solve_qp_active_set(p.sparse(), xf);
   ASSERT_EQ(as.status, QpStatus::kSolved) << "seed " << GetParam();
   EXPECT_NEAR(as.objective, ip.objective,
               1e-5 * (1.0 + std::abs(ip.objective)))
@@ -129,7 +130,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EqualityCrossValidation,
 /// min (x−2)² + y²  s.t.  x² + y² = 1  →  optimum (1, 0), cost 1.
 class CircleProblem : public NlpProblem {
  public:
-  CircleProblem() : a_(0, 2), b_(0) {}
+  CircleProblem()
+      : h_(num::CsrMatrix::from_dense(Matrix::identity(2) *= 2.0)),
+        a_(0, 2),
+        b_(0) {}
   std::size_t num_vars() const override { return 2; }
   std::size_t num_eq() const override { return 1; }
   double cost(const Vector& x) const override {
@@ -138,25 +142,22 @@ class CircleProblem : public NlpProblem {
   Vector cost_gradient(const Vector& x) const override {
     return Vector{2.0 * (x[0] - 2.0), 2.0 * x[1]};
   }
-  Matrix cost_hessian(const Vector&) const override {
-    Matrix h = Matrix::identity(2);
-    h *= 2.0;
-    return h;
-  }
+  const num::CsrMatrix& cost_hessian() const override { return h_; }
   Vector eq_constraints(const Vector& x) const override {
     return Vector{x[0] * x[0] + x[1] * x[1] - 1.0};
   }
-  Matrix eq_jacobian(const Vector& x) const override {
-    Matrix j(1, 2);
-    j(0, 0) = 2.0 * x[0];
-    j(0, 1) = 2.0 * x[1];
-    return j;
+  void eq_jacobian(const Vector& x, num::CsrMatrix& j) const override {
+    j.reset(2);
+    j.push(0, 2.0 * x[0]);
+    j.push(1, 2.0 * x[1]);
+    j.end_row();
   }
-  const Matrix& ineq_matrix() const override { return a_; }
+  const num::CsrMatrix& ineq_matrix() const override { return a_; }
   const Vector& ineq_vector() const override { return b_; }
 
  private:
-  Matrix a_;
+  num::CsrMatrix h_;
+  num::CsrMatrix a_;
   Vector b_;
 };
 
@@ -208,9 +209,9 @@ TEST(SolveStatus, MapsNativeStatusesOntoSharedEnum) {
   EXPECT_FALSE(to_string(SolveStatus::kTimeout).empty());
 }
 
-QpProblem random_box_qp(std::size_t n, std::uint64_t seed) {
+DenseQp random_box_qp(std::size_t n, std::uint64_t seed) {
   SplitMix64 rng(seed);
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix(n, n);
   for (std::size_t i = 0; i < n; ++i) p.h(i, i) = 1.0 + rng.next_double();
   p.g = Vector(n);
@@ -232,11 +233,11 @@ TEST(QpTimeBudget, StarvedBudgetReportsTimeout) {
   // A budget of ~1 ns cannot cover more than the first IPM iteration; the
   // solver must exit with the structured timeout status and a coherent
   // (finite) iterate rather than running to the iteration cap.
-  const QpProblem p = random_box_qp(30, 7);
+  const DenseQp p = random_box_qp(30, 7);
   QpOptions options;
   options.time_budget_s = 1e-9;
   QpWorkspace ws;
-  const QpResult r = solve_qp(p, options, ws);
+  const QpResult r = solve_qp(p.sparse(), options, ws);
   ASSERT_EQ(r.status, QpStatus::kTimeout);
   EXPECT_EQ(solve_status(r.status), SolveStatus::kTimeout);
   EXPECT_EQ(ws.counters().timeouts, 1u);
@@ -245,11 +246,11 @@ TEST(QpTimeBudget, StarvedBudgetReportsTimeout) {
 }
 
 TEST(QpTimeBudget, GenerousBudgetSolvesNormally) {
-  const QpProblem p = random_box_qp(30, 7);
+  const DenseQp p = random_box_qp(30, 7);
   QpOptions options;
   options.time_budget_s = 30.0;
   QpWorkspace ws;
-  const QpResult r = solve_qp(p, options, ws);
+  const QpResult r = solve_qp(p.sparse(), options, ws);
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_EQ(ws.counters().timeouts, 0u);
 }

@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "dense_qp.hpp"
 #include "optim/qp.hpp"
 #include "util/random.hpp"
 
@@ -16,7 +17,7 @@ namespace {
 using num::Matrix;
 using num::Vector;
 
-QpProblem empty_constraints(QpProblem p, std::size_t n) {
+DenseQp empty_constraints(DenseQp p, std::size_t n) {
   if (p.e_vec.empty()) p.e_mat = Matrix(0, n);
   if (p.b_vec.empty()) p.a_mat = Matrix(0, n);
   return p;
@@ -24,13 +25,13 @@ QpProblem empty_constraints(QpProblem p, std::size_t n) {
 
 TEST(Qp, UnconstrainedQuadraticMinimum) {
   // min (x0−1)² + (x1+2)²  →  x = (1, −2).
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix(2, 2);
   p.h(0, 0) = 2;
   p.h(1, 1) = 2;
   p.g = Vector{-2, 4};
   p = empty_constraints(std::move(p), 2);
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_qp(p.sparse());
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 1.0, 1e-8);
   EXPECT_NEAR(r.x[1], -2.0, 1e-8);
@@ -38,7 +39,7 @@ TEST(Qp, UnconstrainedQuadraticMinimum) {
 
 TEST(Qp, EqualityConstrainedAnalytic) {
   // min ½(x0² + x1²) s.t. x0 + x1 = 2  →  x = (1, 1), y = −1.
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix::identity(2);
   p.g = Vector(2);
   p.e_mat = Matrix(1, 2);
@@ -47,7 +48,7 @@ TEST(Qp, EqualityConstrainedAnalytic) {
   p.e_vec = Vector{2};
   p.a_mat = Matrix(0, 2);
   p.b_vec = Vector(0);
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_qp(p.sparse());
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 1.0, 1e-9);
   EXPECT_NEAR(r.x[1], 1.0, 1e-9);
@@ -56,7 +57,7 @@ TEST(Qp, EqualityConstrainedAnalytic) {
 
 TEST(Qp, ActiveInequalityBindsAtBound) {
   // min (x−3)² s.t. x ≤ 1  →  x = 1 with positive multiplier.
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix(1, 1);
   p.h(0, 0) = 2;
   p.g = Vector{-6};
@@ -65,7 +66,7 @@ TEST(Qp, ActiveInequalityBindsAtBound) {
   p.a_mat = Matrix(1, 1);
   p.a_mat(0, 0) = 1;
   p.b_vec = Vector{1};
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_qp(p.sparse());
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 1.0, 1e-6);
   EXPECT_GT(r.z_ineq[0], 1.0);  // multiplier = 4 analytically
@@ -73,7 +74,7 @@ TEST(Qp, ActiveInequalityBindsAtBound) {
 
 TEST(Qp, InactiveInequalityIsIgnored) {
   // min (x−3)² s.t. x ≤ 10  →  unconstrained minimum x = 3.
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix(1, 1);
   p.h(0, 0) = 2;
   p.g = Vector{-6};
@@ -82,7 +83,7 @@ TEST(Qp, InactiveInequalityIsIgnored) {
   p.a_mat = Matrix(1, 1);
   p.a_mat(0, 0) = 1;
   p.b_vec = Vector{10};
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_qp(p.sparse());
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 3.0, 1e-6);
   EXPECT_LT(r.z_ineq[0], 1e-5);
@@ -90,7 +91,7 @@ TEST(Qp, InactiveInequalityIsIgnored) {
 
 TEST(Qp, BoxConstrainedProjection) {
   // min ‖x − (5, −5)‖² s.t. −1 ≤ x ≤ 1 (as 4 rows)  →  x = (1, −1).
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix::identity(2);
   p.h *= 2.0;
   p.g = Vector{-10, 10};
@@ -102,7 +103,7 @@ TEST(Qp, BoxConstrainedProjection) {
   p.a_mat(2, 1) = 1;
   p.a_mat(3, 1) = -1;
   p.b_vec = Vector{1, 1, 1, 1};
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_qp(p.sparse());
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 1.0, 1e-6);
   EXPECT_NEAR(r.x[1], -1.0, 1e-6);
@@ -111,7 +112,7 @@ TEST(Qp, BoxConstrainedProjection) {
 TEST(Qp, MixedEqualityInequality) {
   // min x0² + x1² + x2²  s.t. x0 + x1 + x2 = 3, x0 ≤ 0.5.
   // Without the bound: x = (1,1,1); with it x0 = 0.5, x1 = x2 = 1.25.
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix::identity(3);
   p.h *= 2.0;
   p.g = Vector(3);
@@ -121,7 +122,7 @@ TEST(Qp, MixedEqualityInequality) {
   p.a_mat = Matrix(1, 3);
   p.a_mat(0, 0) = 1;
   p.b_vec = Vector{0.5};
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_qp(p.sparse());
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 0.5, 1e-6);
   EXPECT_NEAR(r.x[1], 1.25, 1e-6);
@@ -129,16 +130,16 @@ TEST(Qp, MixedEqualityInequality) {
 }
 
 TEST(Qp, ValidatesDimensions) {
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix(2, 3);
   p.g = Vector(2);
-  EXPECT_THROW(solve_qp(p), std::invalid_argument);
+  EXPECT_THROW(solve_qp(p.sparse()), std::invalid_argument);
 }
 
 TEST(Qp, RedundantEqualityRowsAreRegularizedAway) {
   // Duplicate equality row makes the KKT matrix singular; the solver must
   // regularize and still return the right answer.
-  QpProblem p;
+  DenseQp p;
   p.h = Matrix::identity(2);
   p.g = Vector(2);
   p.e_mat = Matrix(2, 2);
@@ -149,7 +150,7 @@ TEST(Qp, RedundantEqualityRowsAreRegularizedAway) {
   p.e_vec = Vector{2, 2};
   p.a_mat = Matrix(0, 2);
   p.b_vec = Vector(0);
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_qp(p.sparse());
   ASSERT_TRUE(r.usable());
   EXPECT_NEAR(r.x[0], 1.0, 1e-5);
   EXPECT_NEAR(r.x[1], 1.0, 1e-5);
@@ -165,7 +166,7 @@ TEST_P(QpKktProperty, KktConditionsHold) {
   const std::size_t me = rng.next_u64() % std::min<std::size_t>(n, 3);
   const std::size_t mi = 1 + rng.next_u64() % (2 * n);
 
-  QpProblem p;
+  DenseQp p;
   Matrix g(n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1, 1);
@@ -192,7 +193,7 @@ TEST_P(QpKktProperty, KktConditionsHold) {
     p.b_vec[r] = p.a_mat.row(r).dot(xf) + rng.uniform(0.0, 2.0);
   }
 
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_qp(p.sparse());
   ASSERT_EQ(r.status, QpStatus::kSolved) << "seed " << GetParam();
 
   // Primal feasibility.

@@ -7,6 +7,7 @@
 #include "battery/battery_params.hpp"
 #include "core/mpc_controller.hpp"
 #include "core/mpc_formulation.hpp"
+#include "dense_qp.hpp"
 #include "hvac/hvac_params.hpp"
 #include "optim/qp.hpp"
 #include "optim/sqp.hpp"
@@ -19,7 +20,7 @@ using namespace evc;
 opt::QpProblem random_qp(std::size_t n, std::size_t mi, std::size_t me,
                          std::uint64_t seed) {
   SplitMix64 rng(seed);
-  opt::QpProblem p;
+  opt::DenseQp p;
   num::Matrix g(n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1, 1);
@@ -39,7 +40,7 @@ opt::QpProblem random_qp(std::size_t n, std::size_t mi, std::size_t me,
     for (std::size_t c = 0; c < n; ++c) p.a_mat(r, c) = rng.uniform(-1, 1);
     p.b_vec[r] = rng.uniform(0.5, 2.0);
   }
-  return p;
+  return p.sparse();
 }
 
 core::MpcFormulation make_window_formulation(std::size_t horizon) {

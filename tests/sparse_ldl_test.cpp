@@ -287,13 +287,12 @@ core::MpcFormulation make_window_formulation(std::size_t horizon) {
 // The IPM's K = H + reg·I + AᵀDA with D drawn log-uniformly from the
 // barrier clamp range [1e-10, 1e10] (scenario 0) or pinned at either end
 // (scenarios 1 and 2).
-num::Matrix barrier_hessian(const core::MpcFormulation& f,
-                            const num::Vector& z, int scenario,
+num::Matrix barrier_hessian(const core::MpcFormulation& f, int scenario,
                             SplitMix64& rng) {
-  num::Matrix k = f.cost_hessian(z);
+  num::Matrix k = f.cost_hessian().to_dense();
   k.symmetrize();
   for (std::size_t i = 0; i < k.rows(); ++i) k(i, i) += 1e-8 + 1e-9;
-  const num::Matrix& a = f.ineq_matrix();
+  const num::Matrix a = f.ineq_matrix().to_dense();
   for (std::size_t r = 0; r < a.rows(); ++r) {
     const double d = scenario == 1   ? 1e-10
                      : scenario == 2 ? 1e10
@@ -321,8 +320,10 @@ TEST_P(SparseLdlMpcKkt, AgreesWithDenseLuAndBeatsSchurResidual) {
   num::Vector z = f.cold_start();
   for (std::size_t i = 0; i < z.size(); ++i)
     z[i] += 0.05 * rng.uniform(-1, 1) * (1.0 + std::abs(z[i]));
-  const num::Matrix k = barrier_hessian(f, z, c.scenario, rng);
-  const num::Matrix e = f.eq_jacobian(z);
+  const num::Matrix k = barrier_hessian(f, c.scenario, rng);
+  num::CsrMatrix jac;
+  f.eq_jacobian(z, jac);
+  const num::Matrix e = jac.to_dense();
   const Kkt m = make_kkt(k, e);
   const num::Matrix full = dense(m);
   const num::Vector b = random_vector(m.dim(), rng);
@@ -372,14 +373,15 @@ INSTANTIATE_TEST_SUITE_P(HorizonsAndScalings, SparseLdlMpcKkt,
 // the QP takes the dense LU fallback, which still returns the stationary
 // point.
 TEST(QpSparseKkt, WrongSignPivotTakesDenseFallback) {
+  num::Matrix h(2, 2);
+  h(0, 0) = -1.0;
+  h(1, 1) = 1.0;
   opt::QpProblem p;
-  p.h = num::Matrix(2, 2);
-  p.h(0, 0) = -1.0;
-  p.h(1, 1) = 1.0;
+  p.h = num::CsrMatrix::from_dense(h);
   p.g = num::Vector{1.0, -2.0};
-  p.e_mat = num::Matrix(0, 2);
+  p.e_mat = num::CsrMatrix(0, 2);
   p.e_vec = num::Vector(0);
-  p.a_mat = num::Matrix(0, 2);
+  p.a_mat = num::CsrMatrix(0, 2);
   p.b_vec = num::Vector(0);
   opt::QpWorkspace ws;
   const opt::QpResult r = opt::solve_qp(p, {}, ws);
@@ -395,12 +397,12 @@ opt::QpProblem mpc_qp(std::size_t horizon) {
   const auto f = make_window_formulation(horizon);
   const num::Vector z = f.cold_start();
   opt::QpProblem p;
-  p.h = f.cost_hessian(z);
+  p.h = f.cost_hessian();
   p.g = f.cost_gradient(z);
-  p.e_mat = f.eq_jacobian(z);
+  f.eq_jacobian(z, p.e_mat);
   p.e_vec = -f.eq_constraints(z);
   p.a_mat = f.ineq_matrix();
-  p.b_vec = f.ineq_vector() - f.ineq_matrix() * z;
+  p.b_vec = f.ineq_vector() - f.ineq_matrix().multiply(z);
   return p;
 }
 
@@ -460,6 +462,60 @@ TEST(QpSparseKkt, AnalysisRunsOnlyWhenThePatternChanges) {
   }
 }
 
+/// `m` with `zero` stored at (r, c), a position `m` does not store.
+num::CsrMatrix with_stored_zero(const num::CsrMatrix& m, std::size_t r,
+                                std::size_t c, double zero) {
+  num::CsrMatrix out;
+  out.reset(m.cols());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    bool pending = i == r;
+    for (std::size_t k = m.row_ptr()[i]; k < m.row_ptr()[i + 1]; ++k) {
+      if (pending && m.col_idx()[k] > c) {
+        out.push(c, zero);
+        pending = false;
+      }
+      out.push(m.col_idx()[k], m.values()[k]);
+    }
+    if (pending) out.push(c, zero);
+    out.end_row();
+  }
+  return out;
+}
+
+// The MPC Jacobian keeps one pattern at every linearization, so some of
+// its stored entries are zeros. The QP drops them: an E with a stored 0.0
+// or −0.0 gives the same bits, and the same KKT pattern (no new analysis),
+// as that E without it.
+TEST(QpSparseKkt, StoredZerosInEqualityMatrixAreDropped) {
+  opt::QpProblem clean = mpc_qp(5);
+  num::CsrMatrix e;
+  e.assign_nonzeros(clean.e_mat);
+  clean.e_mat = e;
+  opt::QpWorkspace fresh;
+  const opt::QpResult expect = opt::solve_qp(clean, {}, fresh);
+  ASSERT_EQ(expect.status, opt::QpStatus::kSolved);
+
+  // Row 0 (step 0's cabin dynamics) stores x0, x1, Ts0 and mz0: x2 falls
+  // between them, the last slack after them.
+  const std::size_t n = clean.num_vars();
+  ASSERT_EQ(e.coeff(0, 2), 0.0);
+  ASSERT_EQ(e.coeff(0, n - 1), 0.0);
+  for (const double zero : {0.0, -0.0}) {
+    for (const std::size_t col : {std::size_t{2}, n - 1}) {
+      opt::QpProblem p = clean;
+      p.e_mat = with_stored_zero(e, 0, col, zero);
+      ASSERT_EQ(p.e_mat.nnz(), e.nnz() + 1);
+
+      opt::QpWorkspace ws;
+      ASSERT_TRUE(opt::solve_qp(clean, {}, ws).usable());
+      const std::uint64_t analyses = counter_value("qp.kkt_analyses");
+      expect_bit_identical(opt::solve_qp(p, {}, ws), expect);
+      EXPECT_EQ(counter_value("qp.kkt_analyses"), analyses)
+          << "zero " << zero << " at column " << col;
+    }
+  }
+}
+
 // --- The SQP's least-norm restoration -------------------------------------
 
 TEST(LeastNormRestoration, MatchesDenseLeastNormStep) {
@@ -476,7 +532,7 @@ TEST(LeastNormRestoration, MatchesDenseLeastNormStep) {
 
   opt::LeastNormRestoration restoration;
   num::Vector p;
-  ASSERT_TRUE(restoration.solve(j, c, p));
+  ASSERT_TRUE(restoration.solve(num::CsrMatrix::from_dense(j), c, p));
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(p[i], expect[i], 1e-12);
 }
 
@@ -492,10 +548,10 @@ TEST(LeastNormRestoration, RejectsInconsistentRankDeficientJacobian) {
   c[me - 1] = c[0] + 0.5;
   opt::LeastNormRestoration restoration;
   num::Vector p;
-  EXPECT_FALSE(restoration.solve(j, c, p));
+  EXPECT_FALSE(restoration.solve(num::CsrMatrix::from_dense(j), c, p));
 
   c[me - 1] = c[0];
-  ASSERT_TRUE(restoration.solve(j, c, p));
+  ASSERT_TRUE(restoration.solve(num::CsrMatrix::from_dense(j), c, p));
   EXPECT_LT((j * p + c).norm_inf(), 1e-9);
 }
 

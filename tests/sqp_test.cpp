@@ -20,19 +20,21 @@ class BilinearProblem : public NlpProblem {
   BilinearProblem(Vector target, double product, double box = 0.0)
       : target_(std::move(target)), product_(product) {
     const std::size_t n = target_.size();
+    h_ = num::CsrMatrix::from_dense(Matrix::identity(n) *= 2.0);
+    Matrix a(0, n);
     if (box > 0.0) {
-      a_ = Matrix(2 * n, n);
+      a = Matrix(2 * n, n);
       b_ = Vector(2 * n);
       for (std::size_t i = 0; i < n; ++i) {
-        a_(2 * i, i) = 1.0;
+        a(2 * i, i) = 1.0;
         b_[2 * i] = box;
-        a_(2 * i + 1, i) = -1.0;
+        a(2 * i + 1, i) = -1.0;
         b_[2 * i + 1] = box;
       }
     } else {
-      a_ = Matrix(0, n);
       b_ = Vector(0);
     }
+    a_ = num::CsrMatrix::from_dense(a);
   }
 
   std::size_t num_vars() const override { return target_.size(); }
@@ -51,27 +53,24 @@ class BilinearProblem : public NlpProblem {
     for (std::size_t i = 0; i < x.size(); ++i) g[i] = 2.0 * (x[i] - target_[i]);
     return g;
   }
-  Matrix cost_hessian(const Vector&) const override {
-    Matrix h = Matrix::identity(target_.size());
-    h *= 2.0;
-    return h;
-  }
+  const num::CsrMatrix& cost_hessian() const override { return h_; }
   Vector eq_constraints(const Vector& x) const override {
     return Vector{x[0] * x[1] - product_};
   }
-  Matrix eq_jacobian(const Vector& x) const override {
-    Matrix j(1, x.size());
-    j(0, 0) = x[1];
-    j(0, 1) = x[0];
-    return j;
+  void eq_jacobian(const Vector& x, num::CsrMatrix& j) const override {
+    j.reset(x.size());
+    j.push(0, x[1]);
+    j.push(1, x[0]);
+    j.end_row();
   }
-  const Matrix& ineq_matrix() const override { return a_; }
+  const num::CsrMatrix& ineq_matrix() const override { return a_; }
   const Vector& ineq_vector() const override { return b_; }
 
  private:
   Vector target_;
   double product_;
-  Matrix a_;
+  num::CsrMatrix h_;
+  num::CsrMatrix a_;
   Vector b_;
 };
 
@@ -117,30 +116,30 @@ TEST(Sqp, RejectsWrongStartDimension) {
 /// Pure quadratic with linear equality — SQP must converge in one step.
 class LinearEqualityProblem : public NlpProblem {
  public:
-  LinearEqualityProblem() : a_(0, 2), b_(0) {}
+  LinearEqualityProblem()
+      : h_(num::CsrMatrix::from_dense(Matrix::identity(2) *= 2.0)),
+        a_(0, 2),
+        b_(0) {}
   std::size_t num_vars() const override { return 2; }
   std::size_t num_eq() const override { return 1; }
   double cost(const Vector& x) const override { return x.dot(x); }
   Vector cost_gradient(const Vector& x) const override { return 2.0 * x; }
-  Matrix cost_hessian(const Vector&) const override {
-    Matrix h = Matrix::identity(2);
-    h *= 2.0;
-    return h;
-  }
+  const num::CsrMatrix& cost_hessian() const override { return h_; }
   Vector eq_constraints(const Vector& x) const override {
     return Vector{x[0] + x[1] - 2.0};
   }
-  Matrix eq_jacobian(const Vector&) const override {
-    Matrix j(1, 2);
-    j(0, 0) = 1;
-    j(0, 1) = 1;
-    return j;
+  void eq_jacobian(const Vector&, num::CsrMatrix& j) const override {
+    j.reset(2);
+    j.push(0, 1.0);
+    j.push(1, 1.0);
+    j.end_row();
   }
-  const Matrix& ineq_matrix() const override { return a_; }
+  const num::CsrMatrix& ineq_matrix() const override { return a_; }
   const Vector& ineq_vector() const override { return b_; }
 
  private:
-  Matrix a_;
+  num::CsrMatrix h_;
+  num::CsrMatrix a_;
   Vector b_;
 };
 
