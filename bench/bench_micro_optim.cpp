@@ -7,11 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include "battery/battery_pack.hpp"
-#include <string>
-
 #include "core/mpc_controller.hpp"
 #include "hvac/hvac_plant.hpp"
-#include "optim/condensed_qp.hpp"
 #include "optim/qp.hpp"
 #include "optim/sqp.hpp"
 #include "powertrain/power_train.hpp"
@@ -21,13 +18,6 @@
 namespace {
 
 using namespace evc;
-
-/// Tag an MPC-path record with the QP engine it actually exercised, so
-/// A/B runs under EVC_MPC_BACKEND=... stay distinguishable in stored
-/// benchmark JSON.
-void set_backend_label(benchmark::State& state, opt::QpBackend backend) {
-  state.SetLabel(std::string("backend=") + opt::to_string(backend));
-}
 
 opt::QpProblem random_qp(std::size_t n, std::size_t mi, std::uint64_t seed) {
   SplitMix64 rng(seed);
@@ -98,7 +88,6 @@ void BM_SqpMpcWindow(benchmark::State& state) {
   core::MpcOptions opts;
   const opt::SqpSolver solver(opts.sqp);
   const num::Vector z0 = f.cold_start();
-  set_backend_label(state, opts.sqp.backend);
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.solve(f, z0));
   }
@@ -116,7 +105,6 @@ void BM_MpcPlanStep(benchmark::State& state) {
   c.soc_percent = 88.0;
   c.motor_power_forecast_w.assign(120, 9e3);
   c.outside_temp_forecast_c.assign(120, 35.0);
-  set_backend_label(state, mpc.options().sqp.backend);
   for (auto _ : state) {
     mpc.reset();  // force a fresh (cold-start) plan each call
     benchmark::DoNotOptimize(mpc.decide(c));
@@ -137,7 +125,6 @@ void BM_MpcPlanStepWarm(benchmark::State& state) {
   c.soc_percent = 88.0;
   c.motor_power_forecast_w.assign(120, 9e3);
   c.outside_temp_forecast_c.assign(120, 35.0);
-  set_backend_label(state, mpc.options().sqp.backend);
   for (auto _ : state) {
     benchmark::DoNotOptimize(mpc.decide(c));
     c.time_s += mpc.options().step_s;  // next call replans

@@ -23,7 +23,6 @@
 #include "core/metrics_json.hpp"
 #include "core/simulation.hpp"
 #include "numerics/simd.hpp"
-#include "optim/condensed_qp.hpp"
 #include "sim/fault_injection.hpp"
 #include "util/args.hpp"
 #include "util/json.hpp"
@@ -123,10 +122,8 @@ void write_json(const std::string& path, const drive::DriveProfile& profile,
   JsonWriter json;
   json.begin_object();
   json.key("bench").value("robustness_faults");
-  // The QP engine and SIMD ISA this run actually exercised, so stored
-  // artifacts under EVC_MPC_BACKEND/EVC_SIMD A/B stay distinguishable.
-  json.key("backend").value(
-      opt::to_string(opt::qp_backend_from_env(opt::QpBackend::kSparse)));
+  // The SIMD ISA this run actually exercised, so stored artifacts under
+  // EVC_SIMD A/B stay distinguishable.
   json.key("simd").value(num::simd::to_string(num::simd::active_isa()));
   json.key("cycle").value(profile.name());
   json.key("ambient_c").value(bench::kDefaultAmbientC);

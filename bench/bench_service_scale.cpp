@@ -12,9 +12,9 @@
 //                           cap so every request pays a store round trip
 //                           (persist + load) on top of the step.
 //
-// The artifact also records the active QP backend and SIMD ISA plus the
-// service counters (admit/reject/shed/evict/restore, svc.step_ns
-// p50/p99), so stored runs under EVC_MPC_BACKEND/EVC_SIMD A/B cleanly.
+// The artifact also records the active SIMD ISA plus the service counters
+// (admit/reject/shed/evict/restore, svc.step_ns p50/p99), so stored runs
+// under EVC_SIMD A/B cleanly.
 //
 // Flags: --vehicles N  resident sessions (default 100000)
 //        --waves N     steady-state full-population sweeps (default 2)
@@ -34,7 +34,6 @@
 #include "numerics/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "optim/condensed_qp.hpp"
 #include "runtime/thread_pool.hpp"
 #include "svc/config.hpp"
 #include "svc/session_service.hpp"
@@ -199,8 +198,6 @@ int main(int argc, char** argv) {
   json.begin_object();
   json.key("schema").value("evclimate-solver-bench-v1");
   json.key("bench").value("service_scale");
-  json.key("backend").value(
-      opt::to_string(opt::qp_backend_from_env(opt::QpBackend::kSparse)));
   json.key("simd").value(num::simd::to_string(num::simd::active_isa()));
   json.key("vehicles").value(vehicles);
   json.key("resident_sessions").value(stats.in_memory);

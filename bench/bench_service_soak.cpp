@@ -55,7 +55,6 @@
 #include "core/simulation.hpp"
 #include "numerics/simd.hpp"
 #include "obs/trace.hpp"
-#include "optim/condensed_qp.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/fault_injection.hpp"
 #include "svc/config.hpp"
@@ -510,8 +509,6 @@ void write_json(const std::string& path, const ChaosOutcome& chaos,
   JsonWriter json;
   json.begin_object();
   json.key("bench").value("service_soak");
-  json.key("backend").value(
-      opt::to_string(opt::qp_backend_from_env(opt::QpBackend::kSparse)));
   json.key("simd").value(num::simd::to_string(num::simd::active_isa()));
   json.key("chaos");
   json.begin_object();

@@ -21,8 +21,6 @@
 #include "core/simulation.hpp"
 #include "drivecycle/standard_cycles.hpp"
 #include "hvac/hvac_params.hpp"
-#include "numerics/factorization.hpp"
-#include "optim/dense_active_set.hpp"
 #include "optim/qp.hpp"
 #include "optim/sqp.hpp"
 #include "util/json.hpp"
@@ -82,15 +80,11 @@ void write_counters(JsonWriter& json, const opt::QpPerfCounters& c) {
   json.key("ipm_iterations").value(c.ipm_iterations);
   json.key("factorizations").value(c.factorizations);
   json.key("schur_solves").value(c.schur_solves);
-  json.key("schur_regularizations").value(c.schur_regularizations);
   json.key("dense_fallbacks").value(c.dense_fallbacks);
   json.key("timeouts").value(c.timeouts);
   json.key("warm_starts").value(c.warm_starts);
   json.key("workspace_growths").value(c.workspace_growths);
   json.key("peak_workspace_bytes").value(c.peak_workspace_bytes);
-  json.key("condensed_solves").value(c.condensed_solves);
-  json.key("condense_rebuilds").value(c.condense_rebuilds);
-  json.key("active_set_changes").value(c.active_set_changes);
   json.key("solve_time_ns").value(c.solve_time_ns);
   json.key("factorize_time_ns").value(c.factorize_time_ns);
   json.key("timeout_time_ns").value(c.timeout_time_ns);
@@ -218,46 +212,6 @@ int main(int argc, char** argv) {
     std::cerr << "  mpc_plan_step_warm done\n";
   }
 
-  // Same warm receding-horizon scenario through the condensed backend — the
-  // same-session A/B against mpc_plan_step_warm above. Overrides any
-  // EVC_MPC_BACKEND setting so both rows are always present.
-  {
-    core::MpcOptions opts;
-    opts.sqp.backend = opt::QpBackend::kCondensed;
-    core::MpcClimateController mpc(hvac::default_hvac_params(),
-                                   bat::leaf_24kwh_params(), opts);
-    ctl::ControlContext c;
-    c.dt_s = 1.0;
-    c.cabin_temp_c = 25.0;
-    c.outside_temp_c = 35.0;
-    c.soc_percent = 88.0;
-    c.motor_power_forecast_w.assign(120, 9e3);
-    c.outside_temp_forecast_c.assign(120, 35.0);
-    // Same untimed warm-up as the sparse row above — the A/B compares
-    // steady-state warm plan steps on both backends.
-    const std::size_t warmup = 24;
-    for (std::size_t r = 0; r < warmup; ++r) {
-      mpc.decide(c);
-      c.time_s += mpc.options().step_s;
-    }
-    const std::size_t plans = 40;
-    const auto start = Clock::now();
-    for (std::size_t r = 0; r < plans; ++r) {
-      mpc.decide(c);
-      c.time_s += mpc.options().step_s;  // next call replans
-    }
-    const std::uint64_t wall = ns_since(start);
-    if (mpc.stats().solver.condensed_solves == 0) {
-      std::cerr << "condensed backend never engaged in "
-                   "mpc_plan_step_condensed_warm\n";
-      return 1;
-    }
-    write_bench_header(json, "mpc_plan_step_condensed_warm", plans, wall);
-    json.key("mpc").raw_value(core::to_json(mpc.stats()));
-    json.end_object();
-    std::cerr << "  mpc_plan_step_condensed_warm done\n";
-  }
-
   // Closed-loop ECE_EUDC drive at 35 °C with the paper's MPC — the
   // end-to-end solver metric: the whole drive's wall time (plant,
   // forecasts and every replan) per plan, so a speedup that only shows in
@@ -277,43 +231,6 @@ int main(int argc, char** argv) {
     json.key("mpc").raw_value(core::to_json(mpc->stats()));
     json.end_object();
     std::cerr << "  mpc_closed_loop_ece_eudc done\n";
-  }
-
-  // Warm active-set resolve in isolation: one dense QP, g nudged slightly
-  // each rep, previous working set seeding the next solve — the inner
-  // kernel of the condensed plan step.
-  {
-    const std::size_t n = 60;
-    const auto problem = random_qp(n, 2 * n, 42);
-    const num::Matrix h = problem.h.to_dense();
-    const num::Matrix a = problem.a_mat.to_dense();
-    num::CholeskyFactorization h_chol;
-    if (!h_chol.factorize(h)) return 1;
-    opt::DenseActiveSetSolver active_set;
-    opt::DenseActiveSetOptions as_opts;
-    num::Vector v(n), lambda(2 * n);
-    num::Vector g = problem.g;
-    std::vector<std::size_t> warm;
-    // Cold solve outside the timer establishes the working set.
-    if (!active_set
-             .solve(h_chol, h, a, g, problem.b_vec, warm, as_opts, v, lambda)
-             .usable())
-      return 1;
-    const std::size_t reps = 200;
-    SplitMix64 rng(7);
-    const auto start = Clock::now();
-    for (std::size_t r = 0; r < reps; ++r) {
-      warm = active_set.active_set();
-      for (std::size_t i = 0; i < n; ++i)
-        g[i] = problem.g[i] + 1e-3 * rng.uniform(-1, 1);
-      const auto out = active_set.solve(h_chol, h, a, g, problem.b_vec, warm,
-                                        as_opts, v, lambda);
-      if (!out.usable()) return 1;
-    }
-    write_bench_header(json, "dense_active_set_resolve", reps,
-                       ns_since(start));
-    json.end_object();
-    std::cerr << "  dense_active_set_resolve done\n";
   }
 
   json.end_array();

@@ -183,17 +183,11 @@ hvac::HvacInputs MpcClimateController::decide(
     obs::MetricsRegistry::Id failures;
     obs::MetricsRegistry::Id timeouts;
     obs::MetricsRegistry::Id solve_ns;
-    obs::MetricsRegistry::Id condensed_solves;
-    obs::MetricsRegistry::Id condense_rebuilds;
-    obs::MetricsRegistry::Id active_set_changes;
   } metric_ids{
       obs::MetricsRegistry::global().counter("mpc.plans"),
       obs::MetricsRegistry::global().counter("mpc.failures"),
       obs::MetricsRegistry::global().counter("mpc.timeouts"),
-      obs::MetricsRegistry::global().histogram("mpc.plan.solve_ns"),
-      obs::MetricsRegistry::global().counter("mpc.condensed.solves"),
-      obs::MetricsRegistry::global().counter("mpc.condensed.rebuilds"),
-      obs::MetricsRegistry::global().counter("mpc.condensed.active_set_changes")};
+      obs::MetricsRegistry::global().histogram("mpc.plan.solve_ns")};
 
   const MpcWindowData window = make_window(context);
   MpcFormulation formulation(hvac_, battery_, options_.weights, window);
@@ -215,27 +209,12 @@ hvac::HvacInputs MpcClimateController::decide(
   stats_.solve_time_ns += last_step_solve_ns_;
   stats_.sqp_iterations += result.iterations;
   stats_.qp_iterations += result.qp_iterations_total;
-  // The workspace counters are cumulative; diff against the previous
-  // snapshot so the condensed-backend metrics see only this plan's work.
-  const opt::QpPerfCounters prev_counters = stats_.solver;
   stats_.solver = solver_.qp_counters();
   stats_.solver_workspace_bytes = solver_.workspace_bytes();
   plan_span.arg("sqp_iterations", static_cast<double>(result.iterations));
   obs::MetricsRegistry::global().add(metric_ids.plans);
   obs::MetricsRegistry::global().observe(metric_ids.solve_ns,
                                          last_step_solve_ns_);
-  if (stats_.solver.condensed_solves > prev_counters.condensed_solves)
-    obs::MetricsRegistry::global().add(
-        metric_ids.condensed_solves,
-        stats_.solver.condensed_solves - prev_counters.condensed_solves);
-  if (stats_.solver.condense_rebuilds > prev_counters.condense_rebuilds)
-    obs::MetricsRegistry::global().add(
-        metric_ids.condense_rebuilds,
-        stats_.solver.condense_rebuilds - prev_counters.condense_rebuilds);
-  if (stats_.solver.active_set_changes > prev_counters.active_set_changes)
-    obs::MetricsRegistry::global().add(
-        metric_ids.active_set_changes,
-        stats_.solver.active_set_changes - prev_counters.active_set_changes);
 
   // Branch on the structured solver outcome — a numerical failure is never
   // applied, and a timeout / iteration-capped iterate is applied only if it
@@ -283,11 +262,11 @@ hvac::HvacInputs MpcClimateController::decide(
     input.recirculation = result.x[idx.dr(0)];
     input.air_flow_kg_s = result.x[idx.mz(0)];
     // Saturate to the actuator box (C1/C5/C6/C7) before commanding the
-    // plant. The interior point returns strictly interior iterates and
-    // passes through bit-unchanged; the condensed backend solves the
-    // *cached* linearization (reused while within drift_tolerance), so a
-    // boundary-active input can overshoot the true bound by ~drift·|x| —
-    // an epsilon that must not leak into actuation.
+    // plant. A converged interior-point iterate is strictly interior and
+    // passes through bit-unchanged, but a plan applied after the SQP or QP
+    // iteration cap or a timeout is only near-feasible (accepted above
+    // while its violation stays below 0.5), and the plant must never be
+    // commanded outside its actuator range.
     input.supply_temp_c =
         std::min(input.supply_temp_c, hvac_.max_supply_temp_c);
     input.coil_temp_c = std::max(input.coil_temp_c, hvac_.min_coil_temp_c);
@@ -339,15 +318,11 @@ void save_qp_counters(BinaryWriter& w, const opt::QpPerfCounters& c) {
   w.write_size(c.ipm_iterations);
   w.write_size(c.factorizations);
   w.write_size(c.schur_solves);
-  w.write_size(c.schur_regularizations);
   w.write_size(c.dense_fallbacks);
   w.write_size(c.timeouts);
   w.write_size(c.warm_starts);
   w.write_size(c.workspace_growths);
   w.write_size(c.peak_workspace_bytes);
-  w.write_size(c.condensed_solves);
-  w.write_size(c.condense_rebuilds);
-  w.write_size(c.active_set_changes);
   w.write_u64(c.solve_time_ns);
   w.write_u64(c.factorize_time_ns);
   w.write_u64(c.timeout_time_ns);
@@ -359,15 +334,11 @@ opt::QpPerfCounters load_qp_counters(BinaryReader& r) {
   c.ipm_iterations = r.read_size();
   c.factorizations = r.read_size();
   c.schur_solves = r.read_size();
-  c.schur_regularizations = r.read_size();
   c.dense_fallbacks = r.read_size();
   c.timeouts = r.read_size();
   c.warm_starts = r.read_size();
   c.workspace_growths = r.read_size();
   c.peak_workspace_bytes = r.read_size();
-  c.condensed_solves = r.read_size();
-  c.condense_rebuilds = r.read_size();
-  c.active_set_changes = r.read_size();
   c.solve_time_ns = r.read_u64();
   c.factorize_time_ns = r.read_u64();
   c.timeout_time_ns = r.read_u64();
@@ -406,11 +377,6 @@ void MpcClimateController::save_state(BinaryWriter& writer) const {
   writer.write_size(stats_.rejected_plans);
   save_qp_counters(writer, solver_.qp_counters());
   writer.write_size(stats_.solver_workspace_bytes);
-
-  // Condensed-backend cache (prediction matrices): restoring it keeps the
-  // resumed run's rebuild counters identical to an uninterrupted one.
-  writer.section("mpc_backend");
-  solver_.save_backend_state(writer);
 }
 
 void MpcClimateController::load_state(BinaryReader& reader) {
@@ -452,9 +418,6 @@ void MpcClimateController::load_state(BinaryReader& reader) {
   stats_.solver = load_qp_counters(reader);
   solver_.restore_qp_counters(stats_.solver);
   stats_.solver_workspace_bytes = reader.read_size();
-
-  reader.expect_section("mpc_backend");
-  solver_.load_backend_state(reader);
 }
 
 void MpcClimateController::fill_flight_record(

@@ -52,10 +52,6 @@ struct MpcOptions {
     sqp.hessian_regularization = 1e-6;
     sqp.qp.max_iterations = 30;
     sqp.qp.tolerance = 1e-7;
-    // Default backend is overridable per process (EVC_MPC_BACKEND=
-    // sparse|condensed|auto); explicit assignment after construction
-    // still wins for embedded callers.
-    sqp.backend = opt::qp_backend_from_env(opt::QpBackend::kSparse);
   }
 };
 

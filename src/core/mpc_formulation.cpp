@@ -34,30 +34,6 @@ MpcFormulation::MpcFormulation(hvac::HvacParams hvac_params,
 
   build_cost();
   build_inequalities();
-
-  // Condensing plan: the two initial conditions pin x(0)/SoC(0), then each
-  // step's equality rows are solved in turn for x(k+1) (cabin dynamics,
-  // pivot 1 + coupling ≥ 1), Tm (mixer), Ph/Pc/Pf (coil and fan laws) and
-  // SoC(k+1) (charge balance) — every pivot is the row's own unit (or
-  // near-unit) coefficient, so the elimination is valid at any
-  // linearization point.
-  const std::size_t horizon = idx_.horizon();
-  plan_.num_vars = idx_.num_vars();
-  plan_.dep_rows.reserve(idx_.num_eq());
-  plan_.dep_cols.reserve(idx_.num_eq());
-  plan_.dep_rows.push_back(6 * horizon);
-  plan_.dep_cols.push_back(idx_.x(0));
-  plan_.dep_rows.push_back(6 * horizon + 1);
-  plan_.dep_cols.push_back(idx_.soc(0));
-  for (std::size_t k = 0; k < horizon; ++k) {
-    const std::size_t cols[6] = {idx_.x(k + 1), idx_.tm(k), idx_.ph(k),
-                                 idx_.pc(k),    idx_.pf(k), idx_.soc(k + 1)};
-    for (std::size_t r = 0; r < 6; ++r) {
-      plan_.dep_rows.push_back(6 * k + r);
-      plan_.dep_cols.push_back(cols[r]);
-    }
-  }
-  EVC_ENSURE(plan_.finalize(), "condensing plan inconsistent");
 }
 
 void MpcFormulation::build_cost() {

@@ -38,7 +38,6 @@
 
 #include "battery/battery_params.hpp"
 #include "hvac/hvac_params.hpp"
-#include "optim/condensed_qp.hpp"
 #include "optim/nlp.hpp"
 #include "util/expect.hpp"
 
@@ -147,12 +146,6 @@ class MpcFormulation : public opt::NlpProblem {
   void eq_jacobian(const num::Vector& z, num::CsrMatrix& j) const override;
   const num::CsrMatrix& ineq_matrix() const override { return a_mat_; }
   const num::Vector& ineq_vector() const override { return b_vec_; }
-  /// Elimination order for the condensed backend: the dynamics rows solve
-  /// for the dependent trajectory (states, mixed-air temperature, powers,
-  /// SoC), leaving the 5N true decisions (Ts, Tc, dr, mz, slack) free.
-  const opt::CondensingPlan* condensing_plan() const override {
-    return &plan_;
-  }
 
   /// A physically consistent starting point: cabin/SoC held at their
   /// initial values, coils idle, minimum flow, all auxiliaries consistent
@@ -185,7 +178,6 @@ class MpcFormulation : public opt::NlpProblem {
   num::Vector gradient_const_;
   num::CsrMatrix a_mat_;
   num::Vector b_vec_;
-  opt::CondensingPlan plan_;
 };
 
 }  // namespace evc::core

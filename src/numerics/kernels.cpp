@@ -95,67 +95,6 @@ double dot(const Vector& x, const Vector& y) {
   return x.dot(y);
 }
 
-double dot_span(const double* x, const double* y, std::size_t n) {
-  if (simd::dispatch_enabled()) {
-    if (const simd::FixedKernelTable* fixed = simd::fixed_table(n))
-      return fixed->dot(x, y);
-    return simd::active().dot(x, y, n);
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-void axpy_span(double a, const double* x, double* y, std::size_t n) {
-  if (simd::dispatch_enabled()) {
-    if (const simd::FixedKernelTable* fixed = simd::fixed_table(n)) {
-      fixed->axpy(a, x, y);
-      return;
-    }
-    simd::active().axpy(a, x, y, n);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
-void gemv_span(double alpha, const double* a, std::size_t lda,
-               std::size_t rows, std::size_t cols, const double* x,
-               double* y) {
-  if (simd::dispatch_enabled()) {
-    if (const simd::FixedKernelTable* fixed = simd::fixed_table(cols)) {
-      fixed->gemv(alpha, a, lda, rows, x, y);
-      return;
-    }
-    simd::active().gemv(alpha, a, lda, rows, cols, x, y);
-    return;
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    double acc = 0.0;
-    const double* ai = a + i * lda;
-    for (std::size_t j = 0; j < cols; ++j) acc += ai[j] * x[j];
-    y[i] += alpha * acc;
-  }
-}
-
-void gemv_t_span(double alpha, const double* a, std::size_t lda,
-                 std::size_t rows, std::size_t cols, const double* x,
-                 double* y) {
-  if (simd::dispatch_enabled()) {
-    if (const simd::FixedKernelTable* fixed = simd::fixed_table(cols)) {
-      fixed->gemv_t(alpha, a, lda, rows, x, y);
-      return;
-    }
-    simd::active().gemv_t(alpha, a, lda, rows, cols, x, y);
-    return;
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double xi = alpha * x[i];
-    if (xi == 0.0) continue;
-    const double* ai = a + i * lda;
-    for (std::size_t j = 0; j < cols; ++j) y[j] += ai[j] * xi;
-  }
-}
-
 void copy_into(const Vector& src, Vector& dst) {
   dst.data().assign(src.data().begin(), src.data().end());
 }

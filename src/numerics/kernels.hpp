@@ -48,24 +48,4 @@ double dot(const Vector& x, const Vector& y);
 /// dst := src, reusing dst's backing store when its capacity suffices.
 void copy_into(const Vector& src, Vector& dst);
 
-// Raw-pointer variants for callers that manage their own buffers (the
-// condensed QP backend works on rows of packed workspace matrices). When the
-// length matches a compile-time specialization (simd::fixed_table), the
-// fully unrolled fixed-N kernel runs; otherwise the size-generic dispatched
-// kernel; EVC_SIMD=off keeps plain sequential loops. All three produce the
-// same bits for the dispatched orders; `off` is the legacy sequential order,
-// as everywhere else in this layer.
-
-/// Σ x[i]·y[i] over n elements.
-double dot_span(const double* x, const double* y, std::size_t n);
-/// y[i] += a·x[i] over n elements.
-void axpy_span(double a, const double* x, double* y, std::size_t n);
-/// y[i] += alpha·(A·x)[i]; A is rows×cols row-major, leading dimension lda.
-void gemv_span(double alpha, const double* a, std::size_t lda,
-               std::size_t rows, std::size_t cols, const double* x, double* y);
-/// y[j] += alpha·(Aᵀ·x)[j]; A is rows×cols row-major, leading dimension lda.
-void gemv_t_span(double alpha, const double* a, std::size_t lda,
-                 std::size_t rows, std::size_t cols, const double* x,
-                 double* y);
-
 }  // namespace evc::num

@@ -48,17 +48,12 @@ const KernelTable* sse2_table() {
   return &table;
 }
 
-const FixedKernelTable* sse2_fixed_table(std::size_t n) {
-  return fixed_table_lookup<PackSse2>(n);
-}
-
 }  // namespace evc::num::simd
 
 #else  // non-x86 build: target not available
 
 namespace evc::num::simd {
 const KernelTable* sse2_table() { return nullptr; }
-const FixedKernelTable* sse2_fixed_table(std::size_t) { return nullptr; }
 }  // namespace evc::num::simd
 
 #endif

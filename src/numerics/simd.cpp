@@ -108,23 +108,6 @@ const KernelTable& active() {
   return table;
 }
 
-const FixedKernelTable* fixed_table(std::size_t n) {
-  if (!dispatch_enabled()) return nullptr;
-  switch (active_isa()) {
-    case Isa::kOff:
-      return nullptr;
-    case Isa::kScalar:
-      return scalar_fixed_table(n);
-    case Isa::kSse2:
-      return sse2_fixed_table(n);
-    case Isa::kAvx2:
-      return avx2_fixed_table(n);
-    case Isa::kNeon:
-      return neon_fixed_table(n);
-  }
-  return nullptr;
-}
-
 const KernelTable* table_for(Isa isa) {
   if (!cpu_supports(isa)) return nullptr;
   switch (isa) {

@@ -68,39 +68,6 @@ struct KernelTable {
                std::size_t m, std::size_t k, std::size_t n);
 };
 
-/// Compile-time-length variants of the vector kernels for the condensed MPC
-/// fast path. The generic KernelTable loops carry a runtime trip count; for
-/// the two sizes the production horizon actually uses, a fixed-N
-/// instantiation lets the compiler fully unroll the blocked loop and drop
-/// the remainder branches. The arithmetic is the *same blocked order* as the
-/// generic table — fixed kernels are bit-identical to their size-generic
-/// counterparts (asserted by tests/kernels_simd_test), they just skip the
-/// loop bookkeeping.
-struct FixedKernelTable {
-  std::size_t n = 0;  ///< the compile-time vector length this table serves
-  /// Σ x[i]·y[i] over exactly n elements, blocked order.
-  double (*dot)(const double* x, const double* y);
-  /// y[i] += a·x[i] over exactly n elements.
-  void (*axpy)(double a, const double* x, double* y);
-  /// y[i] += alpha·(A·x)[i]; A is rows×n row-major with leading dim `lda`.
-  void (*gemv)(double alpha, const double* a, std::size_t lda,
-               std::size_t rows, const double* x, double* y);
-  /// y[j] += alpha·(Aᵀ·x)[j]; A is rows×n row-major with leading dim `lda`.
-  void (*gemv_t)(double alpha, const double* a, std::size_t lda,
-                 std::size_t rows, const double* x, double* y);
-};
-
-/// The vector lengths specialized at compile time, chosen for the production
-/// horizon N = 12 of the condensed backend (core/mpc_formulation):
-/// 5N condensed free variables and 11N+2 full-space variables.
-inline constexpr std::size_t kFixedCondensedDim = 60;
-inline constexpr std::size_t kFixedFullDim = 134;
-
-/// Fixed-length table of the active target for vector length `n`, or
-/// nullptr when `n` has no compile-time specialization or dispatch is off
-/// (callers fall back to the size-generic path either way).
-const FixedKernelTable* fixed_table(std::size_t n);
-
 const char* to_string(Isa isa);
 /// Parse an EVC_SIMD value. "auto"/"best" → Isa behind auto-detection is
 /// returned by detect_best(); unknown strings → nullopt.

@@ -100,84 +100,6 @@ struct BlockedKernels {
   }
 };
 
-/// Fixed-length instantiation of the blocked kernels: the same lane
-/// arithmetic as BlockedKernels<Pack> — eight-element unroll with two
-/// accumulators, the fixed reduction tree, sequential scalar tail — with the
-/// trip counts baked in at compile time, so the optimizer fully unrolls the
-/// blocked loop and the remainder handling folds away. Results are bitwise
-/// equal to BlockedKernels<Pack> at n = N because the operation sequence is
-/// identical step for step (tests/kernels_simd_test asserts it).
-///
-/// The bodies are spelled with constant bounds rather than forwarding to
-/// BlockedKernels(…, N): forwarding makes GCC's LTO unroller emit bogus
-/// "iteration <huge> invokes undefined behavior" warnings about the scalar
-/// tail of the inlined runtime-length body, and diagnostic pragmas are not
-/// streamed into the link-time optimizer. Constant bounds fold in the front
-/// end, before the offending pass runs.
-template <typename Pack, std::size_t N>
-struct FixedBlockedKernels {
-  static constexpr std::size_t kBlock8 = N - N % 8;
-  static constexpr std::size_t kBlock4 = N - N % 4;
-
-  static double dot(const double* x, const double* y) {
-    Pack acc0 = Pack::zero();
-    Pack acc1 = Pack::zero();
-    for (std::size_t i = 0; i < kBlock8; i += 8) {
-      acc0 = Pack::add(acc0, Pack::mul(Pack::load(x + i), Pack::load(y + i)));
-      acc1 = Pack::add(acc1,
-                       Pack::mul(Pack::load(x + i + 4), Pack::load(y + i + 4)));
-    }
-    acc0 = Pack::add(acc0, acc1);
-    for (std::size_t i = kBlock8; i < kBlock4; i += 4)
-      acc0 = Pack::add(acc0, Pack::mul(Pack::load(x + i), Pack::load(y + i)));
-    double r = Pack::reduce(acc0);
-    if constexpr (N % 4 != 0)
-      for (std::size_t i = kBlock4; i < N; ++i) r += x[i] * y[i];
-    return r;
-  }
-
-  static void axpy(double a, const double* x, double* y) {
-    const Pack va = Pack::broadcast(a);
-    for (std::size_t i = 0; i < kBlock8; i += 8) {
-      Pack::store(y + i,
-                  Pack::add(Pack::load(y + i), Pack::mul(va, Pack::load(x + i))));
-      Pack::store(y + i + 4, Pack::add(Pack::load(y + i + 4),
-                                       Pack::mul(va, Pack::load(x + i + 4))));
-    }
-    for (std::size_t i = kBlock8; i < kBlock4; i += 4)
-      Pack::store(y + i,
-                  Pack::add(Pack::load(y + i), Pack::mul(va, Pack::load(x + i))));
-    if constexpr (N % 4 != 0)
-      for (std::size_t i = kBlock4; i < N; ++i) y[i] += a * x[i];
-  }
-
-  static void gemv(double alpha, const double* a, std::size_t lda,
-                   std::size_t rows, const double* x, double* y) {
-    for (std::size_t i = 0; i < rows; ++i) y[i] += alpha * dot(a + i * lda, x);
-  }
-  static void gemv_t(double alpha, const double* a, std::size_t lda,
-                     std::size_t rows, const double* x, double* y) {
-    for (std::size_t i = 0; i < rows; ++i) axpy(alpha * x[i], a + i * lda, y);
-  }
-
-  static constexpr FixedKernelTable table() {
-    return FixedKernelTable{N, &dot, &axpy, &gemv, &gemv_t};
-  }
-};
-
-/// Shared body of the per-target fixed-table accessors: map a runtime length
-/// onto the compile-time specializations this build carries.
-template <typename Pack>
-const FixedKernelTable* fixed_table_lookup(std::size_t n) {
-  static const FixedKernelTable condensed =
-      FixedBlockedKernels<Pack, kFixedCondensedDim>::table();
-  static const FixedKernelTable full =
-      FixedBlockedKernels<Pack, kFixedFullDim>::table();
-  if (n == kFixedCondensedDim) return &condensed;
-  if (n == kFixedFullDim) return &full;
-  return nullptr;
-}
-
 // Internal per-target table accessors, defined one per translation unit so
 // each can be compiled with its own ISA flags. A target that is not
 // compiled into this build returns nullptr.
@@ -185,9 +107,5 @@ const KernelTable* scalar_table();
 const KernelTable* sse2_table();
 const KernelTable* avx2_table();
 const KernelTable* neon_table();
-const FixedKernelTable* scalar_fixed_table(std::size_t n);
-const FixedKernelTable* sse2_fixed_table(std::size_t n);
-const FixedKernelTable* avx2_fixed_table(std::size_t n);
-const FixedKernelTable* neon_fixed_table(std::size_t n);
 
 }  // namespace evc::num::simd

@@ -19,8 +19,6 @@
 
 namespace evc::opt {
 
-struct CondensingPlan;
-
 class NlpProblem {
  public:
   virtual ~NlpProblem() = default;
@@ -46,12 +44,6 @@ class NlpProblem {
   /// Fixed linear inequalities A x ≤ b. May have zero rows.
   virtual const num::CsrMatrix& ineq_matrix() const = 0;
   virtual const num::Vector& ineq_vector() const = 0;
-
-  /// Elimination order for the condensed QP backend (optim/condensed_qp),
-  /// or nullptr when the problem does not offer one (the solver then stays
-  /// on the sparse path regardless of the requested backend). The plan must
-  /// be finalized and valid for every linearization this problem produces.
-  virtual const CondensingPlan* condensing_plan() const { return nullptr; }
 };
 
 }  // namespace evc::opt

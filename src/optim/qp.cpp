@@ -62,16 +62,12 @@ QpPerfCounters& QpPerfCounters::operator+=(const QpPerfCounters& rhs) {
   ipm_iterations += rhs.ipm_iterations;
   factorizations += rhs.factorizations;
   schur_solves += rhs.schur_solves;
-  schur_regularizations += rhs.schur_regularizations;
   dense_fallbacks += rhs.dense_fallbacks;
   timeouts += rhs.timeouts;
   warm_starts += rhs.warm_starts;
   workspace_growths += rhs.workspace_growths;
   peak_workspace_bytes = std::max(peak_workspace_bytes,
                                   rhs.peak_workspace_bytes);
-  condensed_solves += rhs.condensed_solves;
-  condense_rebuilds += rhs.condense_rebuilds;
-  active_set_changes += rhs.active_set_changes;
   solve_time_ns += rhs.solve_time_ns;
   factorize_time_ns += rhs.factorize_time_ns;
   timeout_time_ns += rhs.timeout_time_ns;
@@ -629,18 +625,19 @@ QpResult solve_qp(const QpProblem& problem, const QpOptions& options,
   }
 
   if (result.status != QpStatus::kSolved) {
-    // Hand back the best iterate, not the possibly-diverged last one. A
-    // near-converged iterate counts as solved: the typical "failure" mode
-    // is the barrier matrix blowing up the KKT factorization one iteration
-    // *after* the iterate has effectively converged.
+    // Hand back the best iterate, not the possibly-diverged last one. After
+    // a hard failure a near-converged iterate counts as solved: the typical
+    // "failure" mode is the barrier matrix blowing up the KKT factorization
+    // one iteration *after* the iterate has effectively converged. An
+    // iteration-cap or deadline exit reports what it is.
     num::copy_into(ws.best_x_, x);
     num::copy_into(ws.best_y_, y);
     num::copy_into(ws.best_z_, z);
     result.kkt_residual = best_residual;
-    if (best_residual <= 1e-5 * scale)
-      result.status = QpStatus::kSolved;
-    else if (hard_failure)
-      result.status = QpStatus::kNumericalIssue;
+    if (hard_failure)
+      result.status = best_residual <= 1e-5 * scale
+                          ? QpStatus::kSolved
+                          : QpStatus::kNumericalIssue;
     else
       result.status =
           timed_out ? QpStatus::kTimeout : QpStatus::kMaxIterations;

@@ -118,22 +118,13 @@ struct QpPerfCounters {
   /// Successful sparse LDLᵀ KKT factorizations (the name is kept for the
   /// checkpoint layout).
   std::size_t schur_solves = 0;
-  /// Always 0: every factorization carries the same −δ dual regularization
-  /// and refinement removes it, so there is no repair path to count. Kept
-  /// for the checkpoint layout.
-  std::size_t schur_regularizations = 0;
   std::size_t dense_fallbacks = 0;     ///< full dense KKT LU factorizations
   std::size_t timeouts = 0;            ///< solves that hit their wall budget
   std::size_t warm_starts = 0;         ///< solves seeded from a warm start
   std::size_t workspace_growths = 0;   ///< solves that grew any buffer
   std::size_t peak_workspace_bytes = 0;
-  // Condensed-backend counters (optim/condensed_qp). A condensed solve is
-  // exactly one of: a rebuild (counted in condense_rebuilds *and*
-  // factorizations — it factors the reduced Hessian) or a cached-factor
-  // reuse (counted in warm_starts when seeded) — never both.
-  std::size_t condensed_solves = 0;    ///< solves taken by the condensed path
-  std::size_t condense_rebuilds = 0;   ///< prediction-matrix cache rebuilds
-  std::size_t active_set_changes = 0;  ///< working-set adds+drops, all solves
+  std::size_t condensed_solves = 0;   ///< always 0; exists only for perfbench/
+  std::size_t condense_rebuilds = 0;  ///< always 0; exists only for perfbench/
   // Wall-time attribution, so `timeouts` has a matching time axis and the
   // MPC layer can report where its solve budget actually went.
   std::uint64_t solve_time_ns = 0;      ///< total wall time inside solve_qp
@@ -152,10 +143,6 @@ class QpWorkspace {
   QpWorkspace() = default;
 
   const QpPerfCounters& counters() const { return counters_; }
-  /// Mutable counters for sibling solvers that share this workspace's
-  /// telemetry stream (the condensed backend books its solves here so the
-  /// controller sees one unified set of QP counters).
-  QpPerfCounters& counters_mut() { return counters_; }
   void reset_counters() { counters_ = QpPerfCounters{}; }
   /// Overwrite the counters wholesale — used by checkpoint restore so a
   /// resumed controller reports the same aggregate solver telemetry as an

@@ -225,30 +225,16 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
     };
 
     QpResult qp_result;
-    bool solved = false;
-    // Condensed fast path: one attempt against the pristine subproblem.
-    // Anything it cannot handle — no plan, stale structure, active-set
-    // breakdown — falls through to the interior-point loop below, whose
-    // regularize-and-retry covers the condensed failure modes too.
-    if (options_.backend != QpBackend::kSparse) {
-      if (const CondensingPlan* plan = problem.condensing_plan()) {
-        qp_result = condensed_.solve(qp_, *plan, options_.condensed,
-                                     qp_ws_.counters_mut(), qp_seed);
-        solved = finite_result(qp_result);
-      }
-    }
-    if (!solved) {
-      double extra_reg = options_.hessian_regularization;
-      for (int attempt = 0; attempt < 5; ++attempt) {
-        qp_result = solve_qp(qp_, qp_opts, qp_ws_, qp_seed);
-        if (finite_result(qp_result)) break;
-        qp_result.status = QpStatus::kNumericalIssue;
-        // Singular or diverging KKT: convexify harder and retry (cold — the
-        // warm seed did not help this subproblem).
-        qp_seed = nullptr;
-        extra_reg = std::max(extra_reg * 100.0, 1e-6);
-        qp_.h.add_to_diagonal(extra_reg);
-      }
+    double extra_reg = options_.hessian_regularization;
+    for (int attempt = 0; attempt < 5; ++attempt) {
+      qp_result = solve_qp(qp_, qp_opts, qp_ws_, qp_seed);
+      if (finite_result(qp_result)) break;
+      qp_result.status = QpStatus::kNumericalIssue;
+      // Singular or diverging KKT: convexify harder and retry (cold — the
+      // warm seed did not help this subproblem).
+      qp_seed = nullptr;
+      extra_reg = std::max(extra_reg * 100.0, 1e-6);
+      qp_.h.add_to_diagonal(extra_reg);
     }
     if (!qp_result.usable()) {
       result.status = SqpStatus::kQpFailure;
@@ -350,8 +336,7 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
     // iterate is itself feasible, converge there and discard the step: it
     // bought no merit, and keeping the iterate bit-identical makes a
     // steady-state replan a true fixed point — the next solve linearizes at
-    // the same point, registers zero drift, and rides the condensed cache
-    // instead of rebuilding over a microscopic creep.
+    // the same point instead of chasing a microscopic creep.
     const double phi_new = cand.phi(nu);
     if (phi0 - phi_new <= 1e-7 * (1.0 + std::abs(phi_new)) &&
         cand.eq_inf <= options_.constraint_tolerance &&

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "numerics/sparse_ldl.hpp"
-#include "optim/condensed_qp.hpp"
 #include "optim/nlp.hpp"
 #include "optim/qp.hpp"
 
@@ -68,13 +67,6 @@ struct SqpOptions {
   /// survives.
   bool second_order_correction = true;
   QpOptions qp;
-  /// QP engine for the subproblems. kCondensed/kAuto route each subproblem
-  /// through the condensed dense active-set path when the problem offers a
-  /// CondensingPlan, falling back to the sparse interior point on any
-  /// failure (and always when no plan exists). kSparse is the original
-  /// behaviour.
-  QpBackend backend = QpBackend::kSparse;
-  CondensedQpOptions condensed;
 };
 
 struct SqpResult {
@@ -147,26 +139,13 @@ class SqpSolver {
     qp_ws_.restore_counters(counters);
   }
   /// Bytes held by the persistent QP workspace.
-  std::size_t workspace_bytes() const {
-    return qp_ws_.bytes() + condensed_.bytes();
-  }
-
-  /// Checkpoint the condensed backend's cross-solve state (the cached
-  /// prediction matrices). Always writes a section, empty-cache included,
-  /// so the stream layout does not depend on the backend in use.
-  void save_backend_state(BinaryWriter& writer) const {
-    condensed_.save_cache(writer);
-  }
-  void load_backend_state(BinaryReader& reader) const {
-    condensed_.load_cache(reader);
-  }
+  std::size_t workspace_bytes() const { return qp_ws_.bytes(); }
 
  private:
   SqpOptions options_;
   // Persistent hot-path storage (see class comment): reused across
   // iterations and across solves.
   mutable QpWorkspace qp_ws_;
-  mutable CondensedQpSolver condensed_;
   mutable QpProblem qp_;
   mutable QpWarmStart qp_warm_;
   mutable num::Vector candidate_;

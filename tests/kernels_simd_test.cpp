@@ -258,84 +258,6 @@ TEST_P(SimdTargetTest, UnalignedPointersMatchBitwise) {
   }
 }
 
-/// Per-target fixed-dimension table, mirroring the switch in fixed_table()
-/// but for an arbitrary target rather than the active one.
-const num::simd::FixedKernelTable* fixed_table_for(Isa isa, std::size_t n) {
-  switch (isa) {
-    case Isa::kScalar:
-      return num::simd::scalar_fixed_table(n);
-    case Isa::kSse2:
-      return num::simd::sse2_fixed_table(n);
-    case Isa::kAvx2:
-      return num::simd::avx2_fixed_table(n);
-    case Isa::kNeon:
-      return num::simd::neon_fixed_table(n);
-    default:
-      return nullptr;
-  }
-}
-
-TEST_P(SimdTargetTest, FixedKernelsMatchGenericBitwise) {
-  // The compile-time-N kernels the condensed MPC hot path dispatches to
-  // (n = 60 inputs, n = 134 decision variables) must be bit-identical to the
-  // size-generic table of the same target — same blocked order, the loop
-  // trip counts just resolved at compile time. Anything else would make the
-  // planner's output depend on whether a vector length hit a specialization.
-  const KernelTable& tbl = table();
-  SplitMix64 rng(18);
-  for (const std::size_t n :
-       {num::simd::kFixedCondensedDim, num::simd::kFixedFullDim}) {
-    const num::simd::FixedKernelTable* fixed =
-        fixed_table_for(GetParam(), n);
-    ASSERT_NE(fixed, nullptr) << "n=" << n;
-    EXPECT_EQ(fixed->n, n);
-
-    const auto x = random_data(rng, n);
-    const auto y = random_data(rng, n);
-    EXPECT_BITEQ(fixed->dot(x.data(), y.data()),
-                 tbl.dot(x.data(), y.data(), n))
-        << "n=" << n;
-
-    const double a = rng.uniform(-2.0, 2.0);
-    auto y_fix = y;
-    auto y_gen = y;
-    fixed->axpy(a, x.data(), y_fix.data());
-    tbl.axpy(a, x.data(), y_gen.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_BITEQ(y_fix[i], y_gen[i]) << "n=" << n << " i=" << i;
-
-    // gemv/gemv_t: the fixed column count n is the compile-time parameter,
-    // rows stays runtime. Exercise short, odd and tall row counts.
-    for (const std::size_t rows : {1u, 5u, 31u}) {
-      const auto m = random_data(rng, rows * n);
-      const double alpha = rng.uniform(-2.0, 2.0);
-
-      const auto xr = random_data(rng, n);
-      auto out_fix = random_data(rng, rows);
-      auto out_gen = out_fix;
-      fixed->gemv(alpha, m.data(), n, rows, xr.data(), out_fix.data());
-      tbl.gemv(alpha, m.data(), n, rows, n, xr.data(), out_gen.data());
-      for (std::size_t i = 0; i < rows; ++i)
-        EXPECT_BITEQ(out_fix[i], out_gen[i])
-            << rows << "x" << n << " i=" << i;
-
-      const auto xt = random_data(rng, rows);
-      auto outt_fix = random_data(rng, n);
-      auto outt_gen = outt_fix;
-      fixed->gemv_t(alpha, m.data(), n, rows, xt.data(), outt_fix.data());
-      tbl.gemv_t(alpha, m.data(), n, rows, n, xt.data(), outt_gen.data());
-      for (std::size_t j = 0; j < n; ++j)
-        EXPECT_BITEQ(outt_fix[j], outt_gen[j])
-            << rows << "x" << n << " j=" << j;
-    }
-  }
-}
-
-TEST_P(SimdTargetTest, FixedTableOnlyCoversSpecializedDims) {
-  for (const std::size_t n : {0u, 1u, 59u, 61u, 133u, 135u})
-    EXPECT_EQ(fixed_table_for(GetParam(), n), nullptr) << "n=" << n;
-}
-
 std::string isa_name(const ::testing::TestParamInfo<Isa>& info) {
   return num::simd::to_string(info.param);
 }
@@ -364,20 +286,6 @@ TEST(SimdDispatchTest, ActiveTableMatchesActiveIsa) {
   EXPECT_EQ(num::simd::active().isa, num::simd::active_isa());
   EXPECT_EQ(num::simd::table_for(num::simd::active_isa()),
             &num::simd::active());
-}
-
-TEST(SimdDispatchTest, ActiveFixedTableFollowsActiveIsa) {
-  if (!num::simd::dispatch_enabled()) {
-    // EVC_SIMD=off: the hot path must fall back to the legacy loops.
-    EXPECT_EQ(num::simd::fixed_table(num::simd::kFixedCondensedDim), nullptr);
-    return;
-  }
-  for (const std::size_t n :
-       {num::simd::kFixedCondensedDim, num::simd::kFixedFullDim})
-    EXPECT_EQ(num::simd::fixed_table(n),
-              fixed_table_for(num::simd::active_isa(), n))
-        << "n=" << n;
-  EXPECT_EQ(num::simd::fixed_table(59), nullptr);
 }
 
 TEST(SimdDispatchTest, NumericsStorageIsCacheLineAligned) {

@@ -1,11 +1,16 @@
 // Tests for the MPC formulation (variable packing, constraint functions,
-// Jacobian correctness via finite differences) and the MPC controller.
+// Jacobian correctness via finite differences), the interior-point QP on
+// the MPC's own subproblems, and the MPC controller.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/mpc_controller.hpp"
 #include "core/mpc_formulation.hpp"
+#include "numerics/kernels.hpp"
+#include "optim/qp.hpp"
 #include "util/random.hpp"
 
 namespace evc::core {
@@ -439,6 +444,137 @@ TEST(MpcFormulationNonlinearBattery, HighPowerDrainsSuperlinearly) {
   const double low = soc_drop_for(10.0);
   const double high = soc_drop_for(20.0);
   EXPECT_GT(high, 2.0 * low * 1.01);
+}
+
+}  // namespace
+}  // namespace evc::core
+
+namespace evc::core {
+namespace {
+
+// --- Interior-point QP on real MPC subproblems ---
+
+MpcFormulation random_formulation(std::size_t horizon, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  MpcWindowData w;
+  w.dt_s = 5.0;
+  w.initial_cabin_temp_c = rng.uniform(18.0, 32.0);
+  w.initial_soc_percent = rng.uniform(40.0, 95.0);
+  w.fixed_power_kw.assign(horizon, 0.0);
+  w.outside_temp_c.assign(horizon, 0.0);
+  for (std::size_t k = 0; k < horizon; ++k) {
+    w.fixed_power_kw[k] = rng.uniform(2.0, 18.0);
+    w.outside_temp_c[k] = rng.uniform(-5.0, 40.0);
+  }
+  return MpcFormulation(hvac::default_hvac_params(), bat::leaf_24kwh_params(),
+                        MpcWeights{}, w);
+}
+
+/// The QP subproblem the SQP layer poses at iterate z — the construction
+/// from SqpSolver::solve, with MpcOptions' 1e-6 Hessian regularization.
+opt::QpProblem subproblem_at(const MpcFormulation& f, const num::Vector& z) {
+  opt::QpProblem qp;
+  qp.h = f.cost_hessian();
+  qp.h.add_to_diagonal(1e-6);
+  qp.g = f.cost_gradient(z);
+  f.eq_jacobian(z, qp.e_mat);
+  const num::Vector c = f.eq_constraints(z);
+  qp.e_vec.resize(c.size());
+  for (std::size_t i = 0; i < c.size(); ++i) qp.e_vec[i] = -c[i];
+  qp.a_mat = f.ineq_matrix();
+  const num::Vector ax = qp.a_mat.multiply(z);
+  qp.b_vec.resize(ax.size());
+  for (std::size_t i = 0; i < ax.size(); ++i)
+    qp.b_vec[i] = f.ineq_vector()[i] - ax[i];
+  return qp;
+}
+
+/// Small random perturbation of the cold start — a plausible SQP iterate, so
+/// the linearization (and with it the binding pattern) varies per seed. Kept
+/// small: a large kick puts dependent variables (powers, SoC) outside their
+/// bounds in a way no step can repair, and the linearized QP is genuinely
+/// infeasible — a problem the SQP line search never poses.
+num::Vector perturbed_iterate(const MpcFormulation& f, std::uint64_t seed,
+                              double magnitude) {
+  SplitMix64 rng(seed);
+  num::Vector z = f.cold_start();
+  for (std::size_t i = 0; i < z.size(); ++i)
+    z[i] += magnitude * rng.uniform(-1.0, 1.0);
+  return z;
+}
+
+struct KktReport {
+  double stationarity = 0.0;    ///< ‖Hx + g + Eᵀy + Aᵀz‖∞
+  double eq_violation = 0.0;    ///< ‖Ex − e‖∞
+  double ineq_violation = 0.0;  ///< max(0, Ax − b)
+  double complementarity = 0.0; ///< max |z_i·(b − Ax)_i|
+};
+
+/// Full-space KKT residuals of a claimed solution, computed from the dense
+/// problem independently of the solver's own residuals.
+KktReport kkt_report(const opt::QpProblem& qp, const opt::QpResult& r) {
+  const std::size_t n = qp.num_vars();
+  const num::Matrix h = qp.h.to_dense();
+  const num::Matrix e_mat = qp.e_mat.to_dense();
+  const num::Matrix a_mat = qp.a_mat.to_dense();
+  KktReport out;
+  num::Vector stat(n);
+  num::gemv(1.0, h, r.x, 0.0, stat);
+  for (std::size_t j = 0; j < n; ++j) stat[j] += qp.g[j];
+  num::gemv_t(1.0, e_mat, r.y_eq, 1.0, stat);
+  num::gemv_t(1.0, a_mat, r.z_ineq, 1.0, stat);
+  for (std::size_t j = 0; j < n; ++j)
+    out.stationarity = std::max(out.stationarity, std::abs(stat[j]));
+  num::Vector ex(qp.num_eq());
+  num::gemv(1.0, e_mat, r.x, 0.0, ex);
+  for (std::size_t i = 0; i < qp.num_eq(); ++i)
+    out.eq_violation =
+        std::max(out.eq_violation, std::abs(ex[i] - qp.e_vec[i]));
+  num::Vector ax(qp.num_ineq());
+  num::gemv(1.0, a_mat, r.x, 0.0, ax);
+  for (std::size_t i = 0; i < qp.num_ineq(); ++i) {
+    out.ineq_violation = std::max(out.ineq_violation, ax[i] - qp.b_vec[i]);
+    out.complementarity = std::max(
+        out.complementarity, std::abs(r.z_ineq[i] * (qp.b_vec[i] - ax[i])));
+  }
+  return out;
+}
+
+TEST(MpcSubproblemQp, SolvedStatusCarriesAKktCertificate) {
+  // A tight tolerance the interior point cannot always reach within its
+  // iteration cap: every solve must either own up to the cap, or report
+  // kSolved with a residual at the requested tolerance and a full-space
+  // KKT certificate to match.
+  opt::QpOptions opts;
+  opts.tolerance = 1e-10;
+  opts.max_iterations = 200;
+  std::size_t solved = 0;
+  for (const std::size_t horizon : {4u, 7u, 12u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const auto f = random_formulation(horizon, 100 * horizon + seed);
+      const opt::QpProblem qp =
+          subproblem_at(f, perturbed_iterate(f, seed, 0.01));
+      const opt::QpResult r = opt::solve_qp(qp, opts);
+      const std::string where =
+          "h=" + std::to_string(horizon) + " seed=" + std::to_string(seed);
+      if (r.status == opt::QpStatus::kMaxIterations) {
+        EXPECT_EQ(r.iterations, opts.max_iterations) << where;
+        continue;
+      }
+      ASSERT_EQ(r.status, opt::QpStatus::kSolved) << where;
+      ++solved;
+      const double scale =
+          std::max({1.0, qp.g.norm_inf(), qp.b_vec.norm_inf(),
+                    qp.e_vec.norm_inf()});
+      EXPECT_LE(r.kkt_residual, opts.tolerance * scale) << where;
+      const KktReport cert = kkt_report(qp, r);
+      EXPECT_LE(cert.stationarity, 1e-6) << where;
+      EXPECT_LE(cert.eq_violation, 1e-6) << where;
+      EXPECT_LE(cert.ineq_violation, 1e-6) << where;
+      EXPECT_LE(cert.complementarity, 1e-6) << where;
+    }
+  }
+  EXPECT_GT(solved, 0u);
 }
 
 }  // namespace

@@ -29,15 +29,13 @@ import json
 import sys
 
 # Benches gated by default: the closed-loop ECE_EUDC drive (ms per plan of a
-# whole drive), the hot-path window measurements (both QP backends) and the
-# condensed path's warm resolve kernel. The micro benches still participate
-# in the host-factor median.
+# whole drive) and the two hot-path window measurements. The micro benches
+# still participate in the host-factor median. The condensed backend's rows
+# (mpc_plan_step_condensed_warm, dense_active_set_resolve) left with it.
 DEFAULT_WATCHED = [
     "mpc_closed_loop_ece_eudc",
     "mpc_plan_step_warm",
     "sqp_mpc_window_h12",
-    "mpc_plan_step_condensed_warm",
-    "dense_active_set_resolve",
 ]
 
 SCHEMA = "evclimate-solver-bench-v1"
@@ -79,9 +77,10 @@ def cmd_compare(args):
     host_factor = median(ratios.values())
 
     watched = args.bench or DEFAULT_WATCHED
-    missing = [name for name in watched if name not in ratios]
-    if missing:
-        sys.exit(f"watched benches missing from run: {', '.join(missing)}")
+    for path, benches in ((args.baseline, baseline), (args.current, current)):
+        missing = [name for name in watched if name not in benches]
+        if missing:
+            sys.exit(f"{path}: watched benches missing: {', '.join(missing)}")
 
     print(f"host factor (median ratio over {len(common)} benches): "
           f"{host_factor:.3f}")
