@@ -24,12 +24,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
+#include "service_sweep.hpp"
 #include "core/simulation.hpp"
 #include "numerics/simd.hpp"
 #include "obs/metrics.hpp"
@@ -52,24 +51,6 @@ std::uint64_t ns_since(Clock::time_point t0) {
           .count());
 }
 
-/// Submit one step for vehicles [0, count) in bounded waves and block until
-/// all complete. Returns the number of kOk steps.
-std::uint64_t sweep(svc::SessionService& service, std::size_t count) {
-  constexpr std::size_t kWave = 1024;
-  std::uint64_t ok = 0;
-  std::vector<std::future<svc::StepResult>> wave;
-  wave.reserve(kWave);
-  for (std::size_t begin = 0; begin < count; begin += kWave) {
-    const std::size_t end = std::min(count, begin + kWave);
-    wave.clear();
-    for (std::size_t v = begin; v < end; ++v)
-      wave.push_back(service.submit_step(static_cast<std::uint64_t>(v)));
-    for (auto& future : wave)
-      if (future.get().status == svc::StepStatus::kOk) ++ok;
-  }
-  return ok;
-}
-
 void write_bench(JsonWriter& json, const std::string& name, std::uint64_t reps,
                  std::uint64_t wall_ns) {
   json.begin_object();
@@ -78,13 +59,6 @@ void write_bench(JsonWriter& json, const std::string& name, std::uint64_t reps,
   json.key("wall_ns").value(wall_ns);
   json.key("ns_per_rep").value(wall_ns / (reps > 0 ? reps : 1));
   json.end_object();
-}
-
-obs::HistogramSummary step_histogram() {
-  for (const obs::MetricValue& metric :
-       obs::MetricsRegistry::global().snapshot().metrics)
-    if (metric.name == "svc.step_ns") return metric.histogram;
-  return {};
 }
 
 }  // namespace
@@ -148,7 +122,7 @@ int main(int argc, char** argv) {
             << " thread(s)...\n";
 
   const Clock::time_point fill_start = Clock::now();
-  const std::uint64_t fill_ok = sweep(service, vehicles);
+  const std::uint64_t fill_ok = bench::sweep(service, vehicles);
   const std::uint64_t fill_ns = ns_since(fill_start);
   const bool fill_complete =
       fill_ok == vehicles && service.stats().in_memory == vehicles;
@@ -160,7 +134,8 @@ int main(int argc, char** argv) {
             << "population...\n";
   const Clock::time_point steady_start = Clock::now();
   std::uint64_t steady_ok = 0;
-  for (std::size_t w = 0; w < waves; ++w) steady_ok += sweep(service, vehicles);
+  for (std::size_t w = 0; w < waves; ++w)
+    steady_ok += bench::sweep(service, vehicles);
   const std::uint64_t steady_ns = ns_since(steady_start);
   const std::uint64_t steady_reps =
       static_cast<std::uint64_t>(waves) * vehicles;
@@ -186,13 +161,13 @@ int main(int argc, char** argv) {
               << churn_options.resident_per_shard << "-deep shards...\n";
     const Clock::time_point churn_start = Clock::now();
     for (std::size_t s = 0; s < churn_sweeps; ++s)
-      sweep(churn, churn_vehicles);
+      bench::sweep(churn, churn_vehicles);
     churn_ns = ns_since(churn_start);
     churn_stats = churn.stats();
   }
 
   const svc::ServiceStats stats = service.stats();
-  const obs::HistogramSummary hist = step_histogram();
+  const obs::HistogramSummary hist = bench::step_histogram();
 
   JsonWriter json;
   json.begin_object();

@@ -7,10 +7,9 @@
 // state. Output buffers are resized to the correct dimension (an allocation
 // only the first time; afterwards the capacity is reused).
 //
-// Execution: when SIMD dispatch is enabled (numerics/simd.hpp — the
-// default), the inner loops run through the runtime-selected vector target
-// using the blocked accumulation order, which is bit-identical across every
-// target. EVC_SIMD=off preserves the legacy sequential loops bit-for-bit.
+// Execution: the inner loops run through the runtime-selected SIMD target
+// (numerics/simd.hpp) in the blocked accumulation order, which is
+// bit-identical across every target.
 //
 // Aliasing: output buffers must not alias any input (the loops read inputs
 // while writing outputs). This is asserted where cheap.
@@ -41,8 +40,7 @@ void gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
 /// y := α·x + y (same as Vector::add_scaled, in kernel spelling).
 void axpy(double alpha, const Vector& x, Vector& y);
 
-/// Σ x_i·y_i through the dispatched kernel (blocked order when SIMD is on;
-/// Vector::dot's sequential order when off).
+/// Σ x_i·y_i through the dispatched kernel, in blocked order.
 double dot(const Vector& x, const Vector& y);
 
 /// dst := src, reusing dst's backing store when its capacity suffices.

@@ -12,7 +12,6 @@ namespace {
 
 bool cpu_supports(Isa isa) {
   switch (isa) {
-    case Isa::kOff:
     case Isa::kScalar:
       return true;
     case Isa::kSse2:
@@ -41,11 +40,11 @@ Isa resolve_active() {
     if (!parsed.has_value()) {
       std::fprintf(stderr,
                    "evclimate: EVC_SIMD=%s not recognized "
-                   "(off|scalar|sse2|avx2|neon|auto); auto-detecting\n",
+                   "(scalar|sse2|avx2|neon|auto); auto-detecting\n",
                    env);
       return detect_best();
     }
-    if (*parsed == Isa::kOff || table_for(*parsed) != nullptr) return *parsed;
+    if (table_for(*parsed) != nullptr) return *parsed;
     const Isa best = detect_best();
     std::fprintf(stderr,
                  "evclimate: EVC_SIMD=%s unavailable on this host/build; "
@@ -60,8 +59,6 @@ Isa resolve_active() {
 
 const char* to_string(Isa isa) {
   switch (isa) {
-    case Isa::kOff:
-      return "off";
     case Isa::kScalar:
       return "scalar";
     case Isa::kSse2:
@@ -75,7 +72,6 @@ const char* to_string(Isa isa) {
 }
 
 std::optional<Isa> parse_isa(std::string_view text) {
-  if (text == "off" || text == "0" || text == "none") return Isa::kOff;
   if (text == "scalar" || text == "blocked") return Isa::kScalar;
   if (text == "sse2") return Isa::kSse2;
   if (text == "avx2") return Isa::kAvx2;
@@ -98,21 +94,15 @@ Isa active_isa() {
   return isa;
 }
 
-bool dispatch_enabled() { return active_isa() != Isa::kOff; }
-
 const KernelTable& active() {
-  static const KernelTable& table = *[] {
-    const KernelTable* t = table_for(active_isa());
-    return t != nullptr ? t : scalar_table();
-  }();
+  // resolve_active() only returns targets this host can run.
+  static const KernelTable& table = *table_for(active_isa());
   return table;
 }
 
 const KernelTable* table_for(Isa isa) {
   if (!cpu_supports(isa)) return nullptr;
   switch (isa) {
-    case Isa::kOff:
-      return nullptr;
     case Isa::kScalar:
       return scalar_table();
     case Isa::kSse2:

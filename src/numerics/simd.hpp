@@ -9,7 +9,6 @@
 //   * sse2    2×2-wide SSE2 (x86-64 baseline)
 //   * neon    2×2-wide NEON (aarch64 baseline)
 //   * scalar  blocked portable fallback (any ISA)
-//   * off     dispatch disabled — callers keep their legacy sequential loops
 //
 // Bitwise reproducibility across targets: all implementations share one
 // *blocked accumulation order* (numerics/simd_blocked.hpp) — four logical
@@ -17,12 +16,11 @@
 // multiply-add — so every target produces bit-identical doubles to the
 // blocked scalar reference on every input, remainder lanes included
 // (asserted exhaustively by tests/kernels_simd_test). Checkpoint/soak
-// byte-identity therefore holds regardless of which target a host selects.
-// The `off` mode instead preserves this repo's pre-SIMD sequential
-// arithmetic bit-for-bit, as the escape hatch and A/B reference.
+// byte-identity therefore holds regardless of which target a host selects,
+// and the scalar target is the portable reference that defines the bits.
 //
 // Selection happens once, at first use:
-//   EVC_SIMD=off|scalar|sse2|avx2|neon|auto   overrides auto-detection;
+//   EVC_SIMD=scalar|sse2|avx2|neon|auto   overrides auto-detection;
 //   unset/auto picks the best target supported by both the build and the
 //   CPU. Requesting a target the host cannot run falls back to the best
 //   available one (with a note on stderr).
@@ -35,12 +33,13 @@
 
 namespace evc::num::simd {
 
+/// Explicit values keep each target's number stable: the parameterized
+/// kernel tests carry it in their names.
 enum class Isa {
-  kOff,     ///< dispatch disabled: callers use their legacy sequential loops
-  kScalar,  ///< blocked scalar reference (portable, defines the bit pattern)
-  kSse2,    ///< x86-64 SSE2, two 2-lane vectors per logical 4-lane pack
-  kAvx2,    ///< x86-64 AVX2, one 4-lane vector per pack
-  kNeon,    ///< aarch64 NEON, two 2-lane vectors per pack
+  kScalar = 1,  ///< blocked scalar reference (portable, defines the bits)
+  kSse2,        ///< x86-64 SSE2, two 2-lane vectors per logical 4-lane pack
+  kAvx2,        ///< x86-64 AVX2, one 4-lane vector per pack
+  kNeon,        ///< aarch64 NEON, two 2-lane vectors per pack
 };
 
 /// Raw-pointer kernels, one slot per primitive the solver hot path needs.
@@ -69,29 +68,25 @@ struct KernelTable {
 };
 
 const char* to_string(Isa isa);
-/// Parse an EVC_SIMD value. "auto"/"best" → Isa behind auto-detection is
-/// returned by detect_best(); unknown strings → nullopt.
+/// Parse an EVC_SIMD value. "auto"/"best"/"on" → detect_best(); unknown
+/// strings → nullopt.
 std::optional<Isa> parse_isa(std::string_view text);
 
-/// Best target supported by both this build and this CPU (never kOff).
+/// Best target supported by both this build and this CPU.
 Isa detect_best();
 /// The target this process runs with — resolved once from EVC_SIMD (or
 /// detect_best() when unset/auto) and then immutable.
 Isa active_isa();
-/// False only in `off` mode; gates every dispatch call site.
-bool dispatch_enabled();
 
-/// Kernel table for the active target. In `off` mode this returns the
-/// blocked scalar table, but dispatch call sites must consult
-/// dispatch_enabled() first and keep their legacy loops when it is false.
+/// Kernel table for the active target.
 const KernelTable& active();
 
 /// Table for a specific target, or nullptr when that target is not compiled
-/// into this build or not supported by this CPU (kOff always → nullptr).
+/// into this build or not supported by this CPU.
 const KernelTable* table_for(Isa isa);
 
-/// Every runnable vector/scalar target on this host (kScalar always
-/// included; never contains kOff) — the test matrix for bitwise checks.
+/// Every runnable target on this host (kScalar always included) — the test
+/// matrix for bitwise checks.
 std::vector<Isa> available_targets();
 
 }  // namespace evc::num::simd

@@ -1,10 +1,11 @@
 // Work-stealing thread-pool batch runner for embarrassingly parallel
 // scenario sweeps.
 //
-// The bench/figure harness and the fleet engine run many independent
-// closed-loop simulations (one per drive cycle, ambient temperature,
-// ablation variant, or vehicle). Each scenario owns its controllers and RNG
-// state, so they parallelize with no shared mutable state; parallel_map
+// The bench/figure harness runs many independent closed-loop simulations
+// (one per drive cycle, ambient temperature, or ablation variant), and the
+// session service runs its per-shard vehicle steps here. Each scenario owns
+// its controllers and RNG state, and a vehicle's random draws are seeded by
+// its id only, so no result depends on which worker ran it; parallel_map
 // writes each scenario's result into its own slot, making the output
 // bit-identical to a serial run regardless of worker count or scheduling.
 //

@@ -424,10 +424,11 @@ StepResult SessionService::execute(Shard& shard, const Request& request) {
     }
   }
 
-  // Per-vehicle deterministic initial conditions (same idiom as
-  // rt::FleetEngine): keyed by vehicle id only, never by shard or thread,
-  // so a killed-and-restarted service recreates the identical step-0
-  // state — that is what makes "never persisted" recoverable.
+  // Per-vehicle deterministic initial conditions, seeded by vehicle id
+  // only — never by shard or thread — so any pool size or steal pattern
+  // gives the same numbers, and a killed-and-restarted service recreates
+  // the identical step-0 state — that is what makes "never persisted"
+  // recoverable.
   SplitMix64 rng(options_.seed +
                  0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(vehicle));
   core::SimulationOptions sim_opts;
@@ -656,7 +657,14 @@ void SessionService::persist_all() {
   // ensures every in-flight submit has either enqueued (drained next) or
   // will observe the flag, and drain() waits out the pumps already
   // running. Requests arriving meanwhile get kRejected + retry_after_s.
+  // Traffic resumes on every exit: a storage error thrown by the sweep
+  // propagates, and the sessions it could not write stay resident (each is
+  // erased only after its persist succeeds).
   quiescing_.store(true, std::memory_order_release);
+  struct Resume {
+    std::atomic<bool>& flag;
+    ~Resume() { flag.store(false, std::memory_order_release); }
+  } resume{quiescing_};
   quiesce_barrier();
   drain();
   auto& reg = obs::MetricsRegistry::global();
@@ -674,7 +682,6 @@ void SessionService::persist_all() {
     }
   }
   store_.flush();
-  quiescing_.store(false, std::memory_order_release);
 }
 
 std::size_t SessionService::tracked_sessions() const {

@@ -126,8 +126,9 @@ struct ServiceOptions {
   /// Base delay between storage retries (s), doubled per attempt;
   /// 0 = retry immediately. Applies to both evict and restore retries.
   double io_backoff_s = 0.0005;
-  /// Seed of the per-vehicle initial-condition stream (same idiom as
-  /// rt::FleetEngine: keyed by vehicle id only, never by shard/thread).
+  /// Seed of the per-vehicle initial-condition stream. The stream is keyed
+  /// by vehicle id only, never by shard or thread, so results do not
+  /// depend on scheduling.
   std::uint64_t seed = 2024;
   double min_initial_soc_percent = 60.0;
   double max_initial_soc_percent = 95.0;
@@ -235,7 +236,9 @@ class SessionService {
   /// rejected with retry_after_s), drain in-flight work, evict every
   /// hydrated session to the store, flush the manifest, then accept
   /// traffic again. The quiesce step is what makes the resident sweep
-  /// safe against concurrent submit_step() callers.
+  /// safe against concurrent submit_step() callers. A storage error
+  /// (sim::CheckpointIoError) propagates; traffic is accepted again all
+  /// the same, and the sessions not yet written stay resident.
   void persist_all();
 
   /// Sessions recovered from the manifest at construction.

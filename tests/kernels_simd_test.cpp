@@ -11,8 +11,10 @@
 // tests/CMakeLists.txt) so the reference below cannot be fused into FMAs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -270,22 +272,29 @@ INSTANTIATE_TEST_SUITE_P(AllTargets, SimdTargetTest,
 
 TEST(SimdDispatchTest, ScalarTargetAlwaysAvailable) {
   const auto targets = num::simd::available_targets();
-  bool has_scalar = false;
-  for (const Isa isa : targets) {
-    EXPECT_NE(isa, Isa::kOff);
-    if (isa == Isa::kScalar) has_scalar = true;
-  }
-  EXPECT_TRUE(has_scalar);
+  EXPECT_NE(std::find(targets.begin(), targets.end(), Isa::kScalar),
+            targets.end());
 }
 
 TEST(SimdDispatchTest, ActiveTableMatchesActiveIsa) {
-  if (!num::simd::dispatch_enabled()) {
-    EXPECT_EQ(num::simd::active_isa(), Isa::kOff);
-    return;  // EVC_SIMD=off: call sites keep their legacy loops
-  }
   EXPECT_EQ(num::simd::active().isa, num::simd::active_isa());
   EXPECT_EQ(num::simd::table_for(num::simd::active_isa()),
             &num::simd::active());
+}
+
+TEST(SimdDispatchTest, ParseIsaAcceptsTargetsAndRejectsTheRest) {
+  using num::simd::parse_isa;
+  EXPECT_EQ(parse_isa("scalar"), Isa::kScalar);
+  EXPECT_EQ(parse_isa("blocked"), Isa::kScalar);
+  EXPECT_EQ(parse_isa("sse2"), Isa::kSse2);
+  EXPECT_EQ(parse_isa("avx2"), Isa::kAvx2);
+  EXPECT_EQ(parse_isa("neon"), Isa::kNeon);
+  for (const char* best : {"auto", "best", "on"})
+    EXPECT_EQ(parse_isa(best), num::simd::detect_best()) << best;
+  // The removed `off` mode and its aliases are unknown values now: the
+  // resolver notes them on stderr and auto-detects.
+  for (const char* bad : {"off", "none", "0", "", "AVX2", "avx512", "sse"})
+    EXPECT_EQ(parse_isa(bad), std::nullopt) << '"' << bad << '"';
 }
 
 TEST(SimdDispatchTest, NumericsStorageIsCacheLineAligned) {

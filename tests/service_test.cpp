@@ -5,10 +5,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -289,6 +291,106 @@ TEST(SessionService, StepsMatchSerialReferenceBitForBit) {
   EXPECT_EQ(service.tracked_sessions(), 2u);
   std::filesystem::remove_all(dir);
 }
+
+/// A many-vehicle service must match the serial reference bit for bit on
+/// any pool size and when every pump runs through the steal path: each of
+/// the two shards' controllers serves 32 interleaved vehicles, so any state
+/// leaking between vehicles or any thread affinity in the numbers shows.
+struct PoolShape {
+  std::size_t helpers = 0;
+  bool force_steal = false;
+};
+
+// gtest would otherwise print the struct's raw bytes, padding included.
+void PrintTo(const PoolShape& shape, std::ostream* os) {
+  *os << shape.helpers << " helpers"
+      << (shape.force_steal ? ", forced steal" : "");
+}
+
+class SessionServicePoolTest : public ::testing::TestWithParam<PoolShape> {
+ protected:
+  static constexpr std::size_t kVehicles = 64;
+  static constexpr std::size_t kSteps = 6;
+
+  static ServiceOptions options(const core::EvParams& params,
+                                const std::string& dir) {
+    ServiceOptions opts = base_options(params, dir);
+    opts.shards = 2;
+    opts.mpc.horizon = 4;  // short plans keep 64 vehicles × 5 pools cheap
+    return opts;
+  }
+  static drive::DriveProfile profile() { return test_profile(kSteps); }
+
+  static void SetUpTestSuite() {
+    const core::EvParams params;
+    const ServiceOptions opts = options(params, "unused");
+    refs_ = new std::vector<StepTrace>;
+    for (std::uint64_t v = 0; v < kVehicles; ++v)
+      refs_->push_back(serial_reference(params, profile(), opts, v));
+  }
+  static void TearDownTestSuite() {
+    delete refs_;
+    refs_ = nullptr;
+  }
+
+  static std::vector<StepTrace>* refs_;
+};
+
+std::vector<StepTrace>* SessionServicePoolTest::refs_ = nullptr;
+
+TEST_P(SessionServicePoolTest, ManyVehiclesMatchSerialReference) {
+  const PoolShape shape = GetParam();
+  const core::EvParams params;
+  const auto trip = profile();
+  const std::string dir = fresh_dir("svc_pool");
+  const ServiceOptions opts = options(params, dir);
+
+  // The steal mode is read when the pool is built, so set it just for
+  // that; a value the whole run was started with is put back.
+  const char* inherited = std::getenv("EVC_POOL_STEAL");
+  const std::optional<std::string> saved =
+      inherited ? std::optional<std::string>(inherited) : std::nullopt;
+  if (shape.force_steal) ::setenv("EVC_POOL_STEAL", "force", 1);
+  {
+    rt::ThreadPool pool(shape.helpers);
+    if (saved) {
+      ::setenv("EVC_POOL_STEAL", saved->c_str(), 1);
+    } else {
+      ::unsetenv("EVC_POOL_STEAL");
+    }
+    SessionService service(params, trip, opts, pool);
+    std::vector<std::future<StepResult>> wave;
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      wave.clear();
+      for (std::uint64_t v = 0; v < kVehicles; ++v)
+        wave.push_back(service.submit_step(v));
+      for (std::uint64_t v = 0; v < kVehicles; ++v) {
+        SCOPED_TRACE("vehicle " + std::to_string(v));
+        const StepResult r = wave[v].get();
+        EXPECT_EQ(r.step_index, step);
+        expect_matches_reference((*refs_)[v], r);
+      }
+    }
+    EXPECT_EQ(service.stats().steps, kVehicles * kSteps);
+    if (shape.force_steal) {
+      EXPECT_GT(pool.steals(), 0u);
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+std::string pool_shape_name(const ::testing::TestParamInfo<PoolShape>& p) {
+  return std::to_string(p.param.helpers) + "_helpers" +
+         (p.param.force_steal ? "_forced_steal" : "");
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolShapes, SessionServicePoolTest,
+                         ::testing::Values(PoolShape{0, false},
+                                           PoolShape{1, false},
+                                           PoolShape{3, false},
+                                           PoolShape{7, false},
+                                           PoolShape{4, true}),
+                         pool_shape_name);
 
 TEST(SessionService, FullQueueRejectsWithRetryAfter) {
   const core::EvParams params;

@@ -428,6 +428,45 @@ TEST(ServiceFaults, EvictionFailureKeepsSessionResident) {
   EXPECT_GE(service.store().size(), 1u);
 }
 
+TEST(ServiceFaults, FailedPersistAllLeavesTheServiceAccepting) {
+  MemVfs vfs;
+  const core::EvParams params;
+  const auto profile = service_profile();
+  rt::ThreadPool pool(2);
+  const svc::ServiceOptions opts =
+      service_opts(params, vfs, "svcf_persist_all");
+
+  {
+    svc::SessionService service(params, profile, opts, pool);
+    EXPECT_EQ(service.submit_step(1).get().step_index, 0u);
+    EXPECT_EQ(service.submit_step(1).get().step_index, 1u);
+
+    // The shutdown sweep hits a dead disk: the typed error reaches the
+    // caller, and the session it could not write stays resident.
+    MemVfs::Faults faults;
+    faults.fault_rate = 1.0;
+    vfs.set_faults(faults);
+    EXPECT_THROW(service.persist_all(), sim::CheckpointIoError);
+    EXPECT_EQ(service.stats().in_memory, 1u);
+
+    // Storage heals: the service must accept traffic again rather than
+    // stay quiesced, and resume the session where it was.
+    vfs.set_faults(MemVfs::Faults{});
+    const svc::StepResult next = service.submit_step(1).get();
+    EXPECT_EQ(next.status, svc::StepStatus::kOk);
+    EXPECT_EQ(next.step_index, 2u);
+    EXPECT_FALSE(next.restored_from_disk);
+    service.persist_all();
+  }
+
+  svc::SessionService restarted(params, profile, opts, pool);
+  EXPECT_EQ(restarted.recovered_sessions(), 1u);
+  const svc::StepResult resumed = restarted.submit_step(1).get();
+  EXPECT_EQ(resumed.status, svc::StepStatus::kOk);
+  EXPECT_TRUE(resumed.restored_from_disk);
+  EXPECT_EQ(resumed.step_index, 3u);
+}
+
 // --- JSON service-config surface ---
 
 TEST(ServiceConfig, OverlaysOnlyTheKeysPresent) {
