@@ -9,13 +9,16 @@
 // rough factors, crossovers). EXPERIMENTS.md records paper-vs-measured.
 #pragma once
 
+#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "drivecycle/standard_cycles.hpp"
 #include "runtime/thread_pool.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 namespace evc::bench {
@@ -60,6 +63,26 @@ inline std::vector<CycleComparison> run_all_cycles(double ambient_c) {
   return rt::parallel_map<CycleComparison>(
       cycles.size(),
       [&](std::size_t i) { return run_cycle_comparison(cycles[i], ambient_c); });
+}
+
+/// Parse a bench binary's command line: `read` pulls every flag it uses out
+/// of the parser, then any flag not in `known` is rejected. A malformed
+/// value or an unknown flag prints the message and a usage line to stderr
+/// and exits 2, rather than letting std::invalid_argument escape main.
+template <typename Read>
+void parse_flags(int argc, char** argv, const std::vector<std::string>& known,
+                 Read&& read) {
+  try {
+    const ArgParser args(argc, argv);
+    read(args);
+    args.reject_unknown(known);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\nusage: "
+              << (argc > 0 ? argv[0] : "bench");
+    for (const std::string& flag : known) std::cerr << " [--" << flag << " V]";
+    std::cerr << "\n";
+    std::exit(2);
+  }
 }
 
 }  // namespace evc::bench

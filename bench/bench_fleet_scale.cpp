@@ -35,6 +35,7 @@
 #include <iostream>
 #include <string>
 
+#include "bench_common.hpp"
 #include "drivecycle/standard_cycles.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -51,13 +52,17 @@ using Clock = std::chrono::steady_clock;
 int main(int argc, char** argv) {
   // EVC_TRACE=trace.json dumps a Chrome/Perfetto trace of this run.
   evc::obs::TraceEnvGuard trace_guard;
-  const ArgParser args(argc, argv);
-  const std::string out_path = args.get_string("out", "BENCH_fleet.json");
-  const std::size_t max_vehicles =
-      static_cast<std::size_t>(args.get_int("max-vehicles", 8192));
-  const std::size_t steps_override =
-      static_cast<std::size_t>(args.get_int("steps", 0));
-  args.reject_unknown({"out", "max-vehicles", "steps"});
+  std::string out_path;
+  std::size_t max_vehicles = 0;
+  std::size_t steps_override = 0;
+  bench::parse_flags(argc, argv, {"out", "max-vehicles", "steps"},
+                     [&](const ArgParser& args) {
+                       out_path = args.get_string("out", "BENCH_fleet.json");
+                       max_vehicles = static_cast<std::size_t>(
+                           args.get_int("max-vehicles", 8192));
+                       steps_override =
+                           static_cast<std::size_t>(args.get_int("steps", 0));
+                     });
 
   const auto profile =
       drive::make_cycle_profile(drive::StandardCycle::kUdds, 35.0);

@@ -22,7 +22,6 @@
 #include "bench_common.hpp"
 #include "core/metrics_json.hpp"
 #include "core/simulation.hpp"
-#include "numerics/simd.hpp"
 #include "sim/fault_injection.hpp"
 #include "util/args.hpp"
 #include "util/json.hpp"
@@ -122,9 +121,6 @@ void write_json(const std::string& path, const drive::DriveProfile& profile,
   JsonWriter json;
   json.begin_object();
   json.key("bench").value("robustness_faults");
-  // The SIMD ISA this run actually exercised, so stored artifacts under
-  // EVC_SIMD A/B stay distinguishable.
-  json.key("simd").value(num::simd::to_string(num::simd::active_isa()));
   json.key("cycle").value(profile.name());
   json.key("ambient_c").value(bench::kDefaultAmbientC);
   json.key("steps").value(profile.size());
@@ -169,10 +165,12 @@ void write_json(const std::string& path, const drive::DriveProfile& profile,
 int main(int argc, char** argv) {
   // EVC_TRACE=trace.json dumps a Chrome/Perfetto trace of this run.
   evc::obs::TraceEnvGuard trace_guard;
-  const ArgParser args(argc, argv);
-  const long steps = args.get_int("steps", 0);
-  const std::string out_path = args.get_string("out", "");
-  args.reject_unknown({"steps", "out"});
+  long steps = 0;
+  std::string out_path;
+  bench::parse_flags(argc, argv, {"steps", "out"}, [&](const ArgParser& args) {
+    steps = args.get_int("steps", 0);
+    out_path = args.get_string("out", "");
+  });
 
   const core::EvParams params;
   drive::DriveProfile profile = drive::make_cycle_profile(

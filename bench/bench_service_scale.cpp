@@ -12,9 +12,8 @@
 //                           cap so every request pays a store round trip
 //                           (persist + load) on top of the step.
 //
-// The artifact also records the active SIMD ISA plus the service counters
-// (admit/reject/shed/evict/restore, svc.step_ns p50/p99), so stored runs
-// under EVC_SIMD A/B cleanly.
+// The artifact also records the service counters (admit/reject/shed/
+// evict/restore, svc.step_ns p50/p99).
 //
 // Flags: --vehicles N  resident sessions (default 100000)
 //        --waves N     steady-state full-population sweeps (default 2)
@@ -30,7 +29,6 @@
 #include "bench_common.hpp"
 #include "service_sweep.hpp"
 #include "core/simulation.hpp"
-#include "numerics/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
@@ -66,13 +64,18 @@ void write_bench(JsonWriter& json, const std::string& name, std::uint64_t reps,
 int main(int argc, char** argv) {
   // EVC_TRACE=trace.json dumps a Chrome/Perfetto trace of this run.
   evc::obs::TraceEnvGuard trace_guard;
-  const ArgParser args(argc, argv);
-  const std::size_t vehicles =
-      static_cast<std::size_t>(args.get_int("vehicles", 100000));
-  const std::size_t waves = static_cast<std::size_t>(args.get_int("waves", 2));
-  const std::string out_path = args.get_string("out", "BENCH_service.json");
-  const std::string config_path = args.get_string("config", "");
-  args.reject_unknown({"vehicles", "waves", "config", "out"});
+  std::size_t vehicles = 0;
+  std::size_t waves = 0;
+  std::string out_path;
+  std::string config_path;
+  bench::parse_flags(
+      argc, argv, {"vehicles", "waves", "config", "out"},
+      [&](const ArgParser& args) {
+        vehicles = static_cast<std::size_t>(args.get_int("vehicles", 100000));
+        waves = static_cast<std::size_t>(args.get_int("waves", 2));
+        out_path = args.get_string("out", "BENCH_service.json");
+        config_path = args.get_string("config", "");
+      });
 
   const core::EvParams params;
   const drive::DriveProfile profile =
@@ -173,7 +176,6 @@ int main(int argc, char** argv) {
   json.begin_object();
   json.key("schema").value("evclimate-solver-bench-v1");
   json.key("bench").value("service_scale");
-  json.key("simd").value(num::simd::to_string(num::simd::active_isa()));
   json.key("vehicles").value(vehicles);
   json.key("resident_sessions").value(stats.in_memory);
   json.key("steady_requests_per_s").value(steady_rps);

@@ -53,7 +53,6 @@
 
 #include "bench_common.hpp"
 #include "core/simulation.hpp"
-#include "numerics/simd.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/fault_injection.hpp"
@@ -509,7 +508,6 @@ void write_json(const std::string& path, const ChaosOutcome& chaos,
   JsonWriter json;
   json.begin_object();
   json.key("bench").value("service_soak");
-  json.key("simd").value(num::simd::to_string(num::simd::active_isa()));
   json.key("chaos");
   json.begin_object();
   json.key("vehicles").value(chaos.vehicles);
@@ -571,17 +569,22 @@ void write_json(const std::string& path, const ChaosOutcome& chaos,
 int main(int argc, char** argv) {
   // EVC_TRACE=trace.json dumps a Chrome/Perfetto trace of this run.
   evc::obs::TraceEnvGuard trace_guard;
-  const ArgParser args(argc, argv);
-  const std::size_t vehicles =
-      static_cast<std::size_t>(args.get_int("vehicles", 10000));
-  const std::size_t kills = static_cast<std::size_t>(args.get_int("kills", 2));
-  const std::size_t cohort =
-      static_cast<std::size_t>(args.get_int("cohort", 16));
-  const std::size_t burst =
-      static_cast<std::size_t>(args.get_int("burst", 3072));
-  const std::string out_path = args.get_string("out", "");
-  const std::string config_path = args.get_string("config", "");
-  args.reject_unknown({"vehicles", "kills", "cohort", "burst", "config", "out"});
+  std::size_t vehicles = 0;
+  std::size_t kills = 0;
+  std::size_t cohort = 0;
+  std::size_t burst = 0;
+  std::string out_path;
+  std::string config_path;
+  bench::parse_flags(
+      argc, argv, {"vehicles", "kills", "cohort", "burst", "config", "out"},
+      [&](const ArgParser& args) {
+        vehicles = static_cast<std::size_t>(args.get_int("vehicles", 10000));
+        kills = static_cast<std::size_t>(args.get_int("kills", 2));
+        cohort = static_cast<std::size_t>(args.get_int("cohort", 16));
+        burst = static_cast<std::size_t>(args.get_int("burst", 3072));
+        out_path = args.get_string("out", "");
+        config_path = args.get_string("config", "");
+      });
 
   std::string config_json;
   if (!config_path.empty()) {

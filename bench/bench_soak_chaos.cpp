@@ -350,13 +350,20 @@ void write_json(const std::string& path, const drive::DriveProfile& profile,
 int main(int argc, char** argv) {
   // EVC_TRACE=trace.json → Chrome/Perfetto trace of the whole soak run.
   evc::obs::TraceEnvGuard trace_guard;
-  const ArgParser args(argc, argv);
-  const long steps = args.get_int("steps", 0);
-  const long n_campaigns = args.get_int("campaigns", 3);
-  const long seed = args.get_int("seed", 20260807);
-  const std::string out_path = args.get_string("out", "");
-  const std::string flight_prefix = args.get_string("flight-dump", "");
-  args.reject_unknown({"steps", "campaigns", "seed", "out", "flight-dump"});
+  long steps = 0;
+  long n_campaigns = 0;
+  long seed = 0;
+  std::string out_path;
+  std::string flight_prefix;
+  bench::parse_flags(argc, argv,
+                     {"steps", "campaigns", "seed", "out", "flight-dump"},
+                     [&](const ArgParser& args) {
+                       steps = args.get_int("steps", 0);
+                       n_campaigns = args.get_int("campaigns", 3);
+                       seed = args.get_int("seed", 20260807);
+                       out_path = args.get_string("out", "");
+                       flight_prefix = args.get_string("flight-dump", "");
+                     });
 
   const core::EvParams params;
   drive::DriveProfile profile = drive::make_cycle_profile(

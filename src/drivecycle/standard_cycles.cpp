@@ -202,7 +202,7 @@ std::vector<Knot> knots_for(StandardCycle cycle) {
     case StandardCycle::kJc08:
       return jc08_knots();
   }
-  EVC_ENSURE(false, "unreachable cycle enum");
+  EVC_UNREACHABLE("cycle enum out of range");
 }
 
 }  // namespace
@@ -257,7 +257,7 @@ CycleReference cycle_reference(StandardCycle cycle) {
     case StandardCycle::kJc08:
       return {1204.0, 8.17, 81.6};  // published JC08 statistics
   }
-  EVC_ENSURE(false, "unreachable cycle enum");
+  EVC_UNREACHABLE("cycle enum out of range");
 }
 
 DriveProfile make_cycle_profile(StandardCycle cycle, double ambient_c,

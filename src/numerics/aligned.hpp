@@ -1,11 +1,10 @@
 // 64-byte-aligned storage for the numerics containers.
 //
-// The SIMD kernels (numerics/simd.hpp) issue unaligned vector loads, so
-// alignment is a performance property, not a correctness one: a 64-byte
-// base puts every buffer on a cache-line (and AVX-512-ready) boundary, so
-// the first lane of a row never straddles two lines. Matrix rows are only
-// individually aligned when the column count is a multiple of 8 doubles —
-// the kernels therefore never *assume* alignment, they just profit from it.
+// Alignment is a performance property, not a correctness one: a 64-byte
+// base puts every buffer on a cache-line boundary, so the first element of
+// a row never straddles two lines. Matrix rows are only individually
+// aligned when the column count is a multiple of 8 doubles — no loop
+// *assumes* alignment, the dense loops just profit from it.
 #pragma once
 
 #include <cstddef>

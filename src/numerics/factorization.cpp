@@ -3,14 +3,40 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "numerics/simd.hpp"
 #include "util/expect.hpp"
 
 namespace evc::num {
 
 namespace {
 constexpr double kPivotTol = 1e-13;
+
+// Σ x[i]·y[i] in the blocked order that defines this file's bits: four
+// lanes, an eight-element unroll with two lane accumulators, the reduction
+// (l0+l2) + (l1+l3), then a sequential tail. This file is compiled with
+// -ffp-contract=off (see CMakeLists) so no multiply-add is fused into an
+// FMA; tests/numerics_test pins the order bit for bit.
+double dot(const double* x, const double* y, std::size_t n) {
+  double acc0[4] = {0.0, 0.0, 0.0, 0.0};
+  double acc1[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    for (std::size_t l = 0; l < 4; ++l) {
+      acc0[l] += x[i + l] * y[i + l];
+      acc1[l] += x[i + 4 + l] * y[i + 4 + l];
+    }
+  for (std::size_t l = 0; l < 4; ++l) acc0[l] += acc1[l];
+  for (; i + 4 <= n; i += 4)
+    for (std::size_t l = 0; l < 4; ++l) acc0[l] += x[i + l] * y[i + l];
+  double r = (acc0[0] + acc0[2]) + (acc0[1] + acc0[3]);
+  for (; i < n; ++i) r += x[i] * y[i];
+  return r;
 }
+
+// y[i] += a·x[i]. Elementwise, so any evaluation order gives the same bits.
+void axpy(double a, const double* x, double* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+}  // namespace
 
 bool LuFactorization::factorize(const Matrix& a) {
   EVC_EXPECT(a.rows() == a.cols(), "LU requires a square matrix");
@@ -22,7 +48,6 @@ bool LuFactorization::factorize(const Matrix& a) {
 
   // Scale reference for the singularity test: relative to the matrix norm.
   const double scale = std::max(lu_.norm_max(), 1.0);
-  const simd::KernelTable& tbl = simd::active();
 
   ok_ = true;
   for (std::size_t k = 0; k < n_; ++k) {
@@ -53,7 +78,7 @@ bool LuFactorization::factorize(const Matrix& a) {
       lu_(r, k) = m;
       if (m == 0.0) continue;
       // Trailing-row update is a contiguous axpy along row r.
-      tbl.axpy(-m, &lu_(k, k + 1), &lu_(r, k + 1), n_ - k - 1);
+      axpy(-m, &lu_(k, k + 1), &lu_(r, k + 1), n_ - k - 1);
     }
   }
   return ok_;
@@ -64,15 +89,14 @@ void LuFactorization::solve_into(const Vector& b, Vector& x) const {
   EVC_EXPECT(b.size() == n_, "LU solve dimension mismatch");
   EVC_EXPECT(&b != &x, "LU solve_into output aliases input");
   x.resize(n_);
-  const simd::KernelTable& tbl = simd::active();
   // Forward: L·y = P·b (unit lower triangular); row i dots the already
   // computed prefix of x.
   for (std::size_t i = 0; i < n_; ++i)
-    x[i] = b[perm_[i]] - tbl.dot(lu_.row_ptr(i), x.ptr(), i);
+    x[i] = b[perm_[i]] - dot(lu_.row_ptr(i), x.ptr(), i);
   // Backward: U·x = y, dotting the already computed suffix.
   for (std::size_t ii = n_; ii-- > 0;) {
-    const double acc = x[ii] - tbl.dot(lu_.row_ptr(ii) + ii + 1,
-                                       x.ptr() + ii + 1, n_ - ii - 1);
+    const double acc =
+        x[ii] - dot(lu_.row_ptr(ii) + ii + 1, x.ptr() + ii + 1, n_ - ii - 1);
     x[ii] = acc / lu_(ii, ii);
   }
 }
@@ -95,12 +119,11 @@ bool CholeskyFactorization::factorize(const Matrix& a) {
   n_ = a.rows();
   l_.resize(n_, n_);
   ok_ = true;
-  const simd::KernelTable& tbl = simd::active();
   // Row-dot form: column j's panel update dots the already computed
   // leading rows of L, which are contiguous in row-major storage.
   for (std::size_t j = 0; j < n_; ++j) {
     const double* lj = l_.row_ptr(j);
-    const double diag = a(j, j) - tbl.dot(lj, lj, j);
+    const double diag = a(j, j) - dot(lj, lj, j);
     // Inverted test so a NaN diagonal also fails.
     if (!(diag > 0.0)) {
       ok_ = false;
@@ -109,7 +132,7 @@ bool CholeskyFactorization::factorize(const Matrix& a) {
     l_(j, j) = std::sqrt(diag);
     const double inv = 1.0 / l_(j, j);
     for (std::size_t i = j + 1; i < n_; ++i)
-      l_(i, j) = (a(i, j) - tbl.dot(l_.row_ptr(i), lj, j)) * inv;
+      l_(i, j) = (a(i, j) - dot(l_.row_ptr(i), lj, j)) * inv;
   }
   return ok_;
 }
@@ -121,10 +144,9 @@ void CholeskyFactorization::solve_into(const Vector& b, Vector& x) const {
     x.resize(n_);
     for (std::size_t i = 0; i < n_; ++i) x[i] = b[i];
   }
-  const simd::KernelTable& tbl = simd::active();
   // Forward: L·y = b, each row dots the solved prefix.
   for (std::size_t i = 0; i < n_; ++i)
-    x[i] = (x[i] - tbl.dot(l_.row_ptr(i), x.ptr(), i)) / l_(i, i);
+    x[i] = (x[i] - dot(l_.row_ptr(i), x.ptr(), i)) / l_(i, i);
   // Backward: Lᵀ·x = y, column-sweep form — one contiguous axpy along
   // row jj of L per solved component (rows of L are contiguous in
   // row-major storage; the gather form would stride down a column).
@@ -132,7 +154,7 @@ void CholeskyFactorization::solve_into(const Vector& b, Vector& x) const {
     const double xj = x[jj] / l_(jj, jj);
     x[jj] = xj;
     if (xj == 0.0) continue;
-    tbl.axpy(-xj, l_.row_ptr(jj), x.ptr(), jj);
+    axpy(-xj, l_.row_ptr(jj), x.ptr(), jj);
   }
 }
 

@@ -1,5 +1,5 @@
 // Dense row-major real matrix for the embedded optimization stack.
-// Storage is 64-byte aligned (numerics/aligned.hpp) for the SIMD kernels.
+// Storage is 64-byte aligned (numerics/aligned.hpp).
 #pragma once
 
 #include <cstddef>

@@ -1,92 +1,14 @@
-// Portable SIMD abstraction with runtime dispatch for the numeric kernels.
-//
-// Every dense inner loop of the solver hot path (numerics/kernels,
-// factorization) funnels through a small table of raw-pointer
-// kernels — dot / axpy / scale / gemv / gemvᵀ / gemm — with one
-// implementation per instruction set:
-//
-//   * avx2    4-wide AVX2 (x86-64, detected via cpuid at startup)
-//   * sse2    2×2-wide SSE2 (x86-64 baseline)
-//   * neon    2×2-wide NEON (aarch64 baseline)
-//   * scalar  blocked portable fallback (any ISA)
-//
-// Bitwise reproducibility across targets: all implementations share one
-// *blocked accumulation order* (numerics/simd_blocked.hpp) — four logical
-// lanes, eight-element unroll, a fixed reduction tree, and no fused
-// multiply-add — so every target produces bit-identical doubles to the
-// blocked scalar reference on every input, remainder lanes included
-// (asserted exhaustively by tests/kernels_simd_test). Checkpoint/soak
-// byte-identity therefore holds regardless of which target a host selects,
-// and the scalar target is the portable reference that defines the bits.
-//
-// Selection happens once, at first use:
-//   EVC_SIMD=scalar|sse2|avx2|neon|auto   overrides auto-detection;
-//   unset/auto picks the best target supported by both the build and the
-//   CPU. Requesting a target the host cannot run falls back to the best
-//   available one (with a note on stderr).
+// Label for the arithmetic target the numerics are built for. There is
+// one: plain scalar code (the dense factorizations' blocked dot order is
+// defined in numerics/factorization.cpp). Kept only so benchmark
+// environment records can still name it.
 #pragma once
-
-#include <cstddef>
-#include <optional>
-#include <string_view>
-#include <vector>
 
 namespace evc::num::simd {
 
-/// Explicit values keep each target's number stable: the parameterized
-/// kernel tests carry it in their names.
-enum class Isa {
-  kScalar = 1,  ///< blocked scalar reference (portable, defines the bits)
-  kSse2,        ///< x86-64 SSE2, two 2-lane vectors per logical 4-lane pack
-  kAvx2,        ///< x86-64 AVX2, one 4-lane vector per pack
-  kNeon,        ///< aarch64 NEON, two 2-lane vectors per pack
-};
+enum class Isa { kScalar };
 
-/// Raw-pointer kernels, one slot per primitive the solver hot path needs.
-/// All matrices are row-major with leading dimension `lda`/`ldb`/`ldc`
-/// (elements between consecutive rows). Outputs must not alias inputs.
-struct KernelTable {
-  Isa isa = Isa::kScalar;
-  /// Σ x[i]·y[i] in blocked order.
-  double (*dot)(const double* x, const double* y, std::size_t n);
-  /// y[i] += a·x[i] (elementwise; bitwise equal to the plain loop).
-  void (*axpy)(double a, const double* x, double* y, std::size_t n);
-  /// x[i] *= a.
-  void (*scale)(double a, double* x, std::size_t n);
-  /// y[i] += alpha·(A·x)[i], one blocked dot per row.
-  void (*gemv)(double alpha, const double* a, std::size_t lda,
-               std::size_t rows, std::size_t cols, const double* x, double* y);
-  /// y[j] += alpha·(Aᵀ·x)[j], one axpy per row (runs along rows of A so the
-  /// inner loop is contiguous; never forms the transpose).
-  void (*gemv_t)(double alpha, const double* a, std::size_t lda,
-                 std::size_t rows, std::size_t cols, const double* x,
-                 double* y);
-  /// C[i,:] += alpha·Σ_k A[i,k]·B[k,:], one axpy per (i,k).
-  void (*gemm)(double alpha, const double* a, std::size_t lda,
-               const double* b, std::size_t ldb, double* c, std::size_t ldc,
-               std::size_t m, std::size_t k, std::size_t n);
-};
-
-const char* to_string(Isa isa);
-/// Parse an EVC_SIMD value. "auto"/"best"/"on" → detect_best(); unknown
-/// strings → nullopt.
-std::optional<Isa> parse_isa(std::string_view text);
-
-/// Best target supported by both this build and this CPU.
-Isa detect_best();
-/// The target this process runs with — resolved once from EVC_SIMD (or
-/// detect_best() when unset/auto) and then immutable.
-Isa active_isa();
-
-/// Kernel table for the active target.
-const KernelTable& active();
-
-/// Table for a specific target, or nullptr when that target is not compiled
-/// into this build or not supported by this CPU.
-const KernelTable* table_for(Isa isa);
-
-/// Every runnable target on this host (kScalar always included) — the test
-/// matrix for bitwise checks.
-std::vector<Isa> available_targets();
+inline Isa active_isa() { return Isa::kScalar; }
+inline const char* to_string(Isa) { return "scalar"; }
 
 }  // namespace evc::num::simd

@@ -76,4 +76,8 @@ void Vector::set_segment(std::size_t begin, const Vector& src) {
   for (std::size_t i = 0; i < src.size(); ++i) data_[begin + i] = src[i];
 }
 
+void copy_into(const Vector& src, Vector& dst) {
+  dst.data().assign(src.data().begin(), src.data().end());
+}
+
 }  // namespace evc::num

@@ -3,7 +3,7 @@
 // Sized for MPC-scale problems (tens to a few hundred unknowns); all storage
 // is contiguous doubles, all operations are O(n) loops — no expression
 // templates, no aliasing surprises. The backing store is 64-byte aligned
-// (numerics/aligned.hpp) so the SIMD kernels' loads start on a cache line.
+// (numerics/aligned.hpp) so every buffer starts on a cache line.
 #pragma once
 
 #include <cstddef>
@@ -73,5 +73,8 @@ class Vector {
  private:
   AlignedBuffer data_;
 };
+
+/// dst := src, reusing dst's backing store when its capacity suffices.
+void copy_into(const Vector& src, Vector& dst);
 
 }  // namespace evc::num

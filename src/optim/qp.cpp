@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "numerics/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/deadline.hpp"

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include "numerics/kernels.hpp"
 #include "obs/trace.hpp"
 #include "runtime/deadline.hpp"
 #include "util/expect.hpp"

@@ -4,6 +4,10 @@
 //                std::invalid_argument so misuse is recoverable and testable.
 // EVC_ENSURE   — internal invariant / postcondition; throws std::logic_error
 //                because a violation means the library itself is wrong.
+// EVC_UNREACHABLE — end of a function whose switch covers every enumerator
+//                (so -Wswitch still checks coverage); throws std::logic_error.
+//                A direct [[noreturn]] call, so unlike EVC_ENSURE(false, …)
+//                no optimisation level warns about a missing return.
 //
 // Both always fire (no NDEBUG gating): the models in this library run at
 // control-loop rates (~1 Hz effective), so the checks are free in practice
@@ -44,3 +48,6 @@ namespace evc {
     if (!(cond))                                                        \
       ::evc::contract_fail_invariant(#cond, __FILE__, __LINE__, (msg)); \
   } while (false)
+
+#define EVC_UNREACHABLE(msg) \
+  ::evc::contract_fail_invariant("unreachable", __FILE__, __LINE__, (msg))

@@ -9,7 +9,6 @@
 
 #include "core/mpc_controller.hpp"
 #include "core/mpc_formulation.hpp"
-#include "numerics/kernels.hpp"
 #include "optim/qp.hpp"
 #include "util/random.hpp"
 
@@ -518,20 +517,17 @@ KktReport kkt_report(const opt::QpProblem& qp, const opt::QpResult& r) {
   const num::Matrix e_mat = qp.e_mat.to_dense();
   const num::Matrix a_mat = qp.a_mat.to_dense();
   KktReport out;
-  num::Vector stat(n);
-  num::gemv(1.0, h, r.x, 0.0, stat);
-  for (std::size_t j = 0; j < n; ++j) stat[j] += qp.g[j];
-  num::gemv_t(1.0, e_mat, r.y_eq, 1.0, stat);
-  num::gemv_t(1.0, a_mat, r.z_ineq, 1.0, stat);
+  num::Vector stat = h * r.x;
+  stat += qp.g;
+  stat += e_mat.transpose_times(r.y_eq);
+  stat += a_mat.transpose_times(r.z_ineq);
   for (std::size_t j = 0; j < n; ++j)
     out.stationarity = std::max(out.stationarity, std::abs(stat[j]));
-  num::Vector ex(qp.num_eq());
-  num::gemv(1.0, e_mat, r.x, 0.0, ex);
+  const num::Vector ex = e_mat * r.x;
   for (std::size_t i = 0; i < qp.num_eq(); ++i)
     out.eq_violation =
         std::max(out.eq_violation, std::abs(ex[i] - qp.e_vec[i]));
-  num::Vector ax(qp.num_ineq());
-  num::gemv(1.0, a_mat, r.x, 0.0, ax);
+  const num::Vector ax = a_mat * r.x;
   for (std::size_t i = 0; i < qp.num_ineq(); ++i) {
     out.ineq_violation = std::max(out.ineq_violation, ax[i] - qp.b_vec[i]);
     out.complementarity = std::max(

@@ -339,8 +339,8 @@ TEST_P(SparseLdlMpcKkt, AgreesWithDenseLuAndBeatsSchurResidual) {
   const double r_schur = residual_inf(full, x_schur, b);
   // No worse than the Schur-complement solve. Under the largest barrier
   // scalings both residuals reach the rounding floor of evaluating
-  // b − M·x at all (ε·‖|M|·|x| + |b|‖∞), where their order is noise: it
-  // flips between the SIMD targets of the dense reference.
+  // b − M·x at all (ε·‖|M|·|x| + |b|‖∞), where their order is noise: a
+  // last-bit change in either solve can flip it.
   double floor = 0.0;
   for (std::size_t i = 0; i < m.dim(); ++i) {
     double row = std::abs(b[i]);
